@@ -1,21 +1,32 @@
 """Discrete-event simulation core: the event loop and the Event primitive.
 
 The kernel is deliberately small and simpy-like.  A :class:`Simulator` owns
-an integer-nanosecond clock and a binary heap of scheduled callbacks.
+an integer-nanosecond clock and two queues of ``fn(arg)`` callbacks: a
+binary heap of ``(when, seq, fn, arg)`` entries for callbacks due later,
+and a same-instant FIFO of ``(fn, arg)`` entries for callbacks due now
+(event wake-ups, process starts, interrupts, ``schedule(0, ...)``).
 Generator-based processes (see :mod:`repro.sim.process`) are built on top of
 :class:`Event`.
 
 Determinism: ties in time are broken by a monotonically increasing sequence
 number, so two runs with the same seeds produce identical event orderings.
+Splitting off the FIFO keeps that order exactly: a heap entry due at ``now``
+was scheduled before ``now``, so it precedes every FIFO entry, and the
+loops fire it first; FIFO entries fire in append order, which is the order
+their sequence numbers would have had.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
 from repro.trace.tracer import NULL_TRACER
+
+HeapEntry = Tuple[int, int, Callable[[Any], None], Any]
+ReadyEntry = Tuple[Callable[[Any], None], Any]
 
 
 class Simulator:
@@ -39,7 +50,8 @@ class Simulator:
     def __init__(self, strict_failures: bool = True) -> None:
         self._now = 0
         self._seq = 0
-        self._heap: List[Tuple[int, int, "_Timer"]] = []
+        self._heap: List[HeapEntry] = []
+        self._ready: Deque[ReadyEntry] = deque()
         self._dead_timers = 0
         self.strict_failures = strict_failures
         self._unconsumed_failures: Dict[int, "Event"] = {}
@@ -73,24 +85,60 @@ class Simulator:
             timer.cancelled = True
             return timer
         timer = _Timer(self, fn, args)
-        self._seq += 1
-        heapq.heappush(self._heap, (self._now + delay, self._seq, timer))
+        self._push(delay, _fire_timer, timer)
         return timer
+
+    def _push(self, delay: int, fn: Callable[[Any], None], arg: Any) -> Any:
+        """Queue ``fn(arg)`` after ``delay`` ns; returns its queue entry.
+
+        Process starts, sleeps and interrupts call this directly, so they
+        allocate no :class:`_Timer`; :meth:`_unschedule` takes the entry
+        back out.  Suppressed (returns None) after a power cut.
+        """
+        if self._crashed:
+            return None
+        if delay == 0:
+            entry: Any = (fn, arg)
+            self._ready.append(entry)
+        else:
+            self._seq += 1
+            entry = (self._now + delay, self._seq, fn, arg)
+            heapq.heappush(self._heap, entry)
+        return entry
+
+    def _unschedule(self, entry: Any) -> None:
+        """Remove a queued process wake-up in place (interrupt and kill only).
+
+        The entry disappears as if it had never been queued, so it is not
+        counted by :meth:`step`, reported by :meth:`peek` or allowed to
+        advance the clock.  Removal is by identity; an entry that already
+        fired or was discarded by :meth:`power_cut` is simply not found.
+        """
+        queue: Any = self._ready if len(entry) == 2 else self._heap
+        for index, queued in enumerate(queue):
+            if queued is entry:
+                del queue[index]
+                if queue is self._heap:
+                    heapq.heapify(queue)
+                return
 
     def power_cut(self) -> int:
         """Kill the simulation at the current event boundary (power loss).
 
-        Every pending timer is discarded and every live process is torn
-        down without resuming it — generators are closed so their
-        ``finally`` blocks run, but anything they try to schedule is
-        suppressed.  Returns the number of processes killed.  After the
-        cut only forensic (zero-time) inspection of durable state is
-        meaningful; :meth:`run`/:meth:`step` find an empty heap.
+        Every pending timer and same-instant callback is discarded and
+        every live process is torn down without resuming it — generators
+        are closed so their ``finally`` blocks run, but anything they try
+        to schedule is suppressed.  Returns the number of processes
+        killed.  After the cut only forensic (zero-time) inspection of
+        durable state is meaningful; :meth:`run`/:meth:`step` find both
+        queues empty.
         """
         if self._crashed:
             return 0
         self._crashed = True
+        # Cleared in place: a loop that called us holds local bindings.
         self._heap.clear()
+        self._ready.clear()
         self._dead_timers = 0
         victims = list(self._live_processes.values())
         for process in victims:
@@ -125,104 +173,135 @@ class Simulator:
         """Create a fresh untriggered event bound to this simulator."""
         return Event(self)
 
+    # -- dispatch --------------------------------------------------------
+    # Every loop below applies one rule: fire the heap head if it is due
+    # at ``now`` (it was scheduled before ``now``, so it precedes every
+    # FIFO entry), else the FIFO head, else advance the clock to the heap
+    # head.  Heap entries due at ``now`` cannot appear while the FIFO
+    # drains — a delay-0 callback goes to the FIFO — so once the heap head
+    # lies in the future the FIFO may be drained without looking again.
+    # Heap and FIFO are bound to locals once and never rebound (power_cut
+    # and compaction work in place); a cancelled public timer stays in the
+    # heap as a dead entry and is skipped without touching the clock.
+
     def step(self) -> bool:
         """Execute the next pending callback; return False when idle."""
         heap = self._heap
-        pop = heapq.heappop
-        while heap:
-            when, _seq, timer = pop(heap)
-            if timer.cancelled:
+        ready = self._ready
+        while True:
+            if ready and (not heap or heap[0][0] != self._now):
+                fn, arg = ready.popleft()
+                fn(arg)
+                return True
+            if not heap:
+                return False
+            when, _seq, fn, arg = heapq.heappop(heap)
+            if fn is _fire_timer and arg.cancelled:
                 self._dead_timers -= 1
                 continue
             if when < self._now:
                 raise SimulationError("event heap yielded a past timestamp")
             self._now = when
-            timer._fn(*timer._args)
+            fn(arg)
             return True
-        return False
 
     def run(self, until: Optional[int] = None) -> None:
-        """Run until the heap drains, or until simulated time ``until``.
+        """Run until both queues drain, or until simulated time ``until``.
 
         When ``until`` is given the clock is advanced to exactly ``until``
         even if the last event fires earlier.
         """
-        # The two loops below pop-then-fire with the heap and heappop bound
-        # locally and the timer fired inline; peeking ``self._heap[0]``
-        # before every pop would touch the heap twice per event.
         heap = self._heap
+        ready = self._ready
+        popleft = ready.popleft
         pop = heapq.heappop
-        if until is None:
-            while heap:
-                when, _seq, timer = pop(heap)
-                if timer.cancelled:
-                    self._dead_timers -= 1
-                    continue
-                self._now = when
-                timer._fn(*timer._args)
-        else:
-            if until < self._now:
-                raise SimulationError(f"until={until} is before now={self._now}")
-            while heap:
-                entry = pop(heap)
-                timer = entry[2]
-                if timer.cancelled:
-                    self._dead_timers -= 1
-                    continue
-                when = entry[0]
-                if when > until:
-                    heapq.heappush(heap, entry)
-                    break
-                self._now = when
-                timer._fn(*timer._args)
+        fire = _fire_timer
+        if until is not None and until < self._now:
+            raise SimulationError(f"until={until} is before now={self._now}")
+        while True:
+            if ready and (not heap or heap[0][0] != self._now):
+                while ready:
+                    fn, arg = popleft()
+                    fn(arg)
+            if not heap:
+                break
+            if until is not None and heap[0][0] > until:
+                break
+            when, _seq, fn, arg = pop(heap)
+            if fn is fire and arg.cancelled:
+                self._dead_timers -= 1
+                continue
+            self._now = when
+            fn(arg)
+        if until is not None:
             self._now = until
         self._check_unconsumed()
 
     def run_until_triggered(self, event: "Event", name: str = "event") -> None:
         """Drive the loop until ``event`` resolves (the hot join path).
 
-        Raises when the heap drains first — a joined process that can no
+        Raises when both queues drain first — a joined process that can no
         longer make progress is a deadlock, not quiet success.
         """
         heap = self._heap
+        ready = self._ready
+        popleft = ready.popleft
         pop = heapq.heappop
+        fire = _fire_timer
         while not event._resolved:
+            if ready and (not heap or heap[0][0] != self._now):
+                while ready:
+                    fn, arg = popleft()
+                    fn(arg)
+                    if event._resolved:
+                        return
+                continue
             if not heap:
                 raise SimulationError(
                     f"event loop drained while waiting for {name}")
-            when, _seq, timer = pop(heap)
-            if timer.cancelled:
+            when, _seq, fn, arg = pop(heap)
+            if fn is fire and arg.cancelled:
                 self._dead_timers -= 1
                 continue
             self._now = when
-            timer._fn(*timer._args)
+            fn(arg)
 
     def peek(self) -> Optional[int]:
         """Timestamp of the next live event, or None when idle."""
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
+        if self._ready:
+            return self._now
+        heap = self._heap
+        while heap and heap[0][2] is _fire_timer and heap[0][3].cancelled:
+            heapq.heappop(heap)
             self._dead_timers -= 1
-        return self._heap[0][0] if self._heap else None
+        return heap[0][0] if heap else None
 
-    def _timer_cancelled(self) -> None:
-        """Dead-entry accounting; compacts once cancellations dominate.
+    def _timer_cancelled(self, timer: "_Timer") -> None:
+        """Take a cancelled public timer out of service.
 
-        Compaction rewrites the heap *in place* (slice assignment) so the
-        local bindings held by :meth:`run`/:meth:`step` stay valid, and it
-        preserves the (when, seq) keys of the survivors, so the firing
-        order is untouched.
+        A same-instant timer leaves the FIFO at once.  A heap timer stays
+        as a dead entry; once dead entries dominate, the heap is compacted
+        *in place* (slice assignment) so the local bindings held by
+        :meth:`run`/:meth:`step` stay valid, and the survivors keep their
+        (when, seq) keys, so the firing order is untouched.
         """
+        ready = self._ready
+        for index, (_fn, arg) in enumerate(ready):
+            if arg is timer:
+                del ready[index]
+                return
         self._dead_timers += 1
         heap = self._heap
         if self._dead_timers >= self.COMPACT_MIN_DEAD and \
                 self._dead_timers * 2 >= len(heap):
-            heap[:] = [entry for entry in heap if not entry[2].cancelled]
+            heap[:] = [entry for entry in heap
+                       if entry[2] is not _fire_timer or not entry[3].cancelled]
             heapq.heapify(heap)
             self._dead_timers = 0
 
 
 class _Timer:
-    """Handle for a scheduled callback; supports cancellation."""
+    """Handle for a callback queued by :meth:`Simulator.schedule`."""
 
     __slots__ = ("_sim", "_fn", "_args", "cancelled")
 
@@ -238,10 +317,12 @@ class _Timer:
         if not self.cancelled:
             self.cancelled = True
             if self._sim is not None:
-                self._sim._timer_cancelled()
+                self._sim._timer_cancelled(self)
 
-    def fire(self) -> None:
-        self._fn(*self._args)
+
+def _fire_timer(timer: _Timer) -> None:
+    """Queue-entry function of every public timer."""
+    timer._fn(*timer._args)
 
 
 class Event:
@@ -291,20 +372,27 @@ class Event:
         self._resolved = True
         self.value = value
         self.exception = exception
-        callbacks, self._callbacks = self._callbacks, []
-        if exception is not None and not callbacks and not self._defused:
+        callbacks = self._callbacks
+        if callbacks:
+            self._callbacks = []
+            sim = self.sim
+            if not sim._crashed:
+                append = sim._ready.append
+                for callback in callbacks:
+                    append((callback, self))
+        elif exception is not None and not self._defused:
             # Nobody is waiting: remember the failure so it cannot vanish
             # silently (surfaced at run() exit under strict_failures).
             self.sim._note_unconsumed_failure(self)
-        for callback in callbacks:
-            self.sim.schedule(0, callback, self)
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Invoke ``callback(event)`` when resolved (immediately if already)."""
         if self._resolved:
+            sim = self.sim
             if self.exception is not None:
-                self.sim._consume_failure(self)
-            self.sim.schedule(0, callback, self)
+                sim._consume_failure(self)
+            if not sim._crashed:
+                sim._ready.append((callback, self))
         else:
             self._callbacks.append(callback)
 

@@ -34,7 +34,7 @@ class Interrupt(Exception):
 class Process(Event):
     """A running generator coroutine; also an Event for joining."""
 
-    __slots__ = ("_generator", "name", "defused", "_waiting_on", "_sleep_timer")
+    __slots__ = ("_generator", "name", "defused", "_waiting_on", "_sleep_entry")
 
     def __init__(self, sim: Simulator, generator: ProcessGenerator,
                  name: str = "process") -> None:
@@ -43,9 +43,9 @@ class Process(Event):
         self.name = name
         self.defused = False
         self._waiting_on: Optional[Event] = None
-        self._sleep_timer = None
+        self._sleep_entry: Any = None
         sim._live_processes[id(self)] = self
-        sim.schedule(0, self._resume, None, None)
+        sim._push(0, Process._resume, self)
 
     def _resolve(self, value: Any, exception: Optional[BaseException]) -> None:
         super()._resolve(value, exception)
@@ -65,7 +65,7 @@ class Process(Event):
         if self.triggered:
             raise SimulationError(f"cannot interrupt finished process {self.name}")
         self._detach_wait()
-        self.sim.schedule(0, self._resume_with_exception, Interrupt(cause))
+        self.sim._push(0, self._throw, Interrupt(cause))
 
     def kill(self) -> None:
         """Tear the process down without resuming it (power-cut unwinding).
@@ -88,19 +88,21 @@ class Process(Event):
             self.sim._consume_failure(self)
 
     def _detach_wait(self) -> None:
-        """Stop waiting: cancel a pending sleep, deregister from an event.
+        """Stop waiting: unqueue a pending sleep, deregister from an event.
 
-        Deregistering matters beyond the callback-list leak: a stale
-        ``_on_event`` left behind makes :meth:`Event._resolve` believe a
-        waiter exists, so if the abandoned event later *fails* the
-        exception is considered consumed and never reaches
-        ``strict_failures``.  (An event that already resolved has handed
-        its callbacks to the scheduler; the stale-wake-up guard in
-        :meth:`_on_event` covers that window.)
+        The sleep's queue entry is removed in place, so the abandoned
+        wake-up is never counted by ``step()``, reported by ``peek()`` or
+        allowed to advance the clock.  Deregistering from an event matters
+        beyond the callback-list leak: a stale ``_on_event`` left behind
+        makes :meth:`Event._resolve` believe a waiter exists, so if the
+        abandoned event later *fails* the exception is considered consumed
+        and never reaches ``strict_failures``.  (An event that already
+        resolved has handed its callbacks to the scheduler; the
+        stale-wake-up guard in :meth:`_on_event` covers that window.)
         """
-        if self._sleep_timer is not None:
-            self._sleep_timer.cancel()
-            self._sleep_timer = None
+        if self._sleep_entry is not None:
+            self.sim._unschedule(self._sleep_entry)
+            self._sleep_entry = None
         waiting = self._waiting_on
         if waiting is not None:
             self._waiting_on = None
@@ -111,39 +113,28 @@ class Process(Event):
                     pass
 
     # -- driving the generator ------------------------------------------
-    def _resume(self, send_value: Any, _token: Any) -> None:
-        if self.triggered:
+    def _resume(self, value: Any = None,
+                exc: Optional[BaseException] = None) -> None:
+        """Send ``value`` (or throw ``exc``) in, then queue what it yields."""
+        if self._resolved:
             return
         try:
-            target = self._generator.send(send_value)
+            if exc is None:
+                target = self._generator.send(value)
+            else:
+                target = self._generator.throw(exc)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
-        except BaseException as exc:  # noqa: BLE001 - deliberate fail-path
-            self._handle_failure(exc)
-            return
-        self._wait_for(target)
-
-    def _resume_with_exception(self, exc: BaseException) -> None:
-        if self.triggered:
-            return
-        try:
-            target = self._generator.throw(exc)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except BaseException as raised:  # noqa: BLE001
+        except BaseException as raised:  # noqa: BLE001 - deliberate fail-path
             self._handle_failure(raised)
             return
-        self._wait_for(target)
-
-    def _wait_for(self, target: Union[int, Event]) -> None:
         if isinstance(target, int):
             if target < 0:
                 self._handle_failure(
                     SimulationError(f"process {self.name} slept {target} ns"))
-                return
-            self._sleep_timer = self.sim.schedule(target, self._on_sleep_done)
+            else:
+                self._sleep_entry = self.sim._push(target, Process._wake, self)
             return
         if isinstance(target, Event):
             self._waiting_on = target
@@ -153,18 +144,18 @@ class Process(Event):
             f"process {self.name} yielded {type(target).__name__}; "
             "expected int delay or Event"))
 
-    def _on_sleep_done(self) -> None:
-        self._sleep_timer = None
-        self._resume(None, None)
+    def _throw(self, exc: BaseException) -> None:
+        self._resume(None, exc)
+
+    def _wake(self) -> None:
+        self._sleep_entry = None
+        self._resume()
 
     def _on_event(self, event: Event) -> None:
         if self._waiting_on is not event:
             return  # stale wake-up after an interrupt
         self._waiting_on = None
-        if event.exception is not None:
-            self._resume_with_exception(event.exception)
-        else:
-            self._resume(event.value, None)
+        self._resume(event.value, event.exception)
 
     def _handle_failure(self, exc: BaseException) -> None:
         self.defused = self.defused or bool(self._callbacks)

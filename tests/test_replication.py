@@ -257,6 +257,12 @@ class TestCampaign:
         second = kill_primary_campaign(crash_points=3, ops=80, num_keys=32)
         assert first.digest() == second.digest()
 
+    def test_campaign_matches_golden_digest(self):
+        """Pinned value of ``repro replicate --campaign 50 --seed 7``."""
+        result = kill_primary_campaign(mode="checkin", crash_points=50,
+                                       seed=7)
+        assert result.digest() == "fbf2dd890a34cad7"
+
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ReplicationError):
             kill_primary_campaign(crash_points=1, strategies=("tape",))
