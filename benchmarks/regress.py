@@ -57,9 +57,9 @@ slower (a hot-path regression), never scheduling jitter.
 ``ckpt_blame_p99_share`` is the checkpoint-attributable fraction of the
 >p99 tail from the blame ledgers (``repro.obs``): for the gated checkin
 configuration it should stay near zero — growth means checkpoints
-started leaking into the tail, the paper's headline regression.  The
-share is a fraction in [0, 1], so the 50% tolerance is *relative* to a
-small baseline, keeping the gate tight in absolute terms.
+started leaking into the tail, the paper's headline regression.  Its
+baseline is 0, where any relative tolerance allows nothing or
+everything, so :data:`ABSOLUTE_FLOORS` gives it an absolute allowance.
 
 ``knee_sustainable_ops`` is checkin's open-loop knee (highest offered
 load sustained inside the knee experiment's p99 + shed SLO).  The
@@ -71,6 +71,15 @@ compact seeded kill campaign — lower is better, so it gates on growth:
 50% headroom lets the failover-detection constant or drain behaviour be
 tuned intentionally while catching a promote path that stopped being
 warm (an order-of-magnitude jump toward snapshot-restore territory)."""
+
+ABSOLUTE_FLOORS = {
+    "ckpt_blame_p99_share": 0.05,
+}
+"""Absolute drift always allowed, whatever the baseline: a metric
+breaches when its adverse change exceeds ``max(tolerance * |baseline|,
+floor)``.  Without a floor a zero baseline could never breach (its
+relative drift is undefined); with it the blame share may grow by 5
+points of the tail before the gate trips."""
 
 HIGHER_IS_BETTER = {"throughput_qps", "ops_per_sec",
                     "knee_sustainable_ops"}
@@ -96,17 +105,20 @@ def check(baseline: dict, current: dict) -> list:
             continue
         base = base_metrics[metric]
         cur = cur_metrics[metric]
-        if metric in HIGHER_IS_BETTER:
-            drift = safe_ratio(base - cur, abs(base))   # drop = positive
-        else:
-            drift = safe_ratio(cur - base, abs(base))   # growth = positive
-        if drift > tolerance:
+        # Adverse change: a drop for higher-is-better, else growth.
+        excess = base - cur if metric in HIGHER_IS_BETTER else cur - base
+        floor = ABSOLUTE_FLOORS.get(metric, 0.0)
+        if excess > max(tolerance * abs(base), floor):
             direction = "dropped" if metric in HIGHER_IS_BETTER \
                 else "grew"
+            change = f"{safe_ratio(excess, abs(base)) * 100.0:.1f}%" \
+                if base else f"by {excess:g}"
+            allowed = f"tolerance {tolerance * 100.0:.0f}%"
+            if floor:
+                allowed += f" or {floor:g} absolute"
             problems.append(
-                f"{metric}: {direction} {drift * 100.0:.1f}% "
-                f"(baseline {base:g} -> current {cur:g}, "
-                f"tolerance {tolerance * 100.0:.0f}%)")
+                f"{metric}: {direction} {change} "
+                f"(baseline {base:g} -> current {cur:g}, {allowed})")
     return problems
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.analysis import format_table
 from repro.common.units import MIB, parse_duration_ns
@@ -670,49 +670,56 @@ FAULT_SWEEP_MODES = ("baseline", "isc_c", "checkin")
 the two remapping-FTL systems (ISC-A/B share the baseline's device FTL)."""
 
 
+def _report_campaigns(campaigns: Sequence[Tuple[str, Any]],
+                      headers: List[str],
+                      rows_of: Callable[[str, Any], List[List[Any]]],
+                      title: str) -> int:
+    """Print each campaign's failures to stderr, then one table of
+    ``rows_of(label, campaign)`` rows; returns the failed-point count."""
+    rows: List[List[Any]] = []
+    failed = 0
+    for label, campaign in campaigns:
+        failures = campaign.failures()
+        for point in failures:
+            print(f"FAIL {label} {point.label}: {point.problems()[0]}",
+                  file=sys.stderr)
+        failed += len(failures)
+        rows.extend(rows_of(label, campaign))
+    print(format_table(headers, rows, title=title))
+    return failed
+
+
 def _cmd_media_sweep(args: argparse.Namespace) -> int:
     from repro.fault.media import media_sweep, spare_exhaustion_run
     modes = FAULT_SWEEP_MODES if args.mode == "all" else (args.mode,)
     rates = tuple(float(rate) for rate in args.media_rates.split(","))
-    rows = []
-    failed = 0
     started = time.time()
-    for mode in modes:
-        sweep = media_sweep(mode=mode, rates=rates, seed=args.seed,
-                            ops=args.ops, tenants=args.tenants)
-        failures = sweep.failures()
-        failed += len(failures)
-        for point in sweep.results:
-            rows.append([mode, point.rate, point.acked_keys,
-                         point.program_fails, point.erase_fails,
-                         point.uecc_events, point.relocations,
-                         point.bad_blocks,
-                         "yes" if point.degraded else "no",
-                         "FAIL" if not point.ok else "ok"])
-        for point in failures:
-            problems = (point.client_errors + point.invariant_violations
-                        + point.checkpoint_violations)
-            if point.durability_error:
-                problems.append(point.durability_error)
-            print(f"FAIL {mode} rate {point.rate}: {problems[0]}",
-                  file=sys.stderr)
+    sweeps = [(mode, media_sweep(mode=mode, rates=rates, seed=args.seed,
+                                 ops=args.ops, tenants=args.tenants))
+              for mode in modes]
     exhaustion = spare_exhaustion_run(seed=args.seed)
     summary = exhaustion.metrics.summary()
     degraded_ok = summary["degraded"] == 1.0 and summary["bad_blocks"] > 0
     if not degraded_ok:
-        failed += 1
         print("FAIL spare-exhaustion run did not end in degraded mode",
               file=sys.stderr)
-    elapsed = time.time() - started
-    print(format_table(
+    failed = _report_campaigns(
+        sweeps,
         ["mode", "rate", "acked", "pgm_fail", "ers_fail", "uecc",
          "reloc", "bad_blk", "degraded", "verdict"],
-        rows, title=f"media-error sweep (seed {args.seed})"))
+        lambda mode, sweep: [
+            [mode, point.rate, point.acked_keys, point.program_fails,
+             point.erase_fails, point.uecc_events, point.relocations,
+             point.bad_blocks, "yes" if point.degraded else "no",
+             "ok" if point.ok else "FAIL"]
+            for point in sweep.points],
+        f"media-error sweep (seed {args.seed})")
     print(f"\nspare-exhaustion: degraded={summary['degraded']:.0f} "
           f"bad_blocks={summary['bad_blocks']:.0f} "
           f"({exhaustion.metrics.degraded_reason or 'healthy'})")
-    print(f"[{len(rows)} sweep points: {elapsed:.1f}s]")
-    return 1 if failed else 0
+    print(f"[{len(modes) * len(rates)} sweep points: "
+          f"{time.time() - started:.1f}s]")
+    return 1 if failed or not degraded_ok else 0
 
 
 def _cmd_fault_sweep(args: argparse.Namespace) -> int:
@@ -720,35 +727,24 @@ def _cmd_fault_sweep(args: argparse.Namespace) -> int:
     if args.media_errors:
         return _cmd_media_sweep(args)
     modes = FAULT_SWEEP_MODES if args.mode == "all" else (args.mode,)
-    rows = []
-    failed = 0
     started = time.time()
-    for mode in modes:
-        sweep = fault_sweep(mode=mode, crash_points=args.crash_points,
-                            seed=args.seed, ops=args.ops,
-                            tenants=args.tenants)
-        failures = sweep.failures()
-        failed += len(failures)
-        rows.append([mode, len(sweep.results), sweep.total_steps,
-                     len(failures), sweep.mean_recovery_wall_ns() / 1e6,
-                     sweep.max_recovery_wall_ns() / 1e6, sweep.digest()])
-        for result in failures:
-            problems = (result.invariant_violations
-                        + result.checkpoint_violations)
-            if result.durability_error:
-                problems.append(result.durability_error)
-            if result.mapping_mismatches:
-                problems.append(
-                    f"{result.mapping_mismatches} SPOR mapping mismatches")
-            print(f"FAIL {mode} crash point {result.index} "
-                  f"(step {result.crash_step}): {problems[0]}",
-                  file=sys.stderr)
-    elapsed = time.time() - started
-    print(format_table(
+    sweeps = [(mode, fault_sweep(mode=mode, crash_points=args.crash_points,
+                                 seed=args.seed, ops=args.ops,
+                                 tenants=args.tenants))
+              for mode in modes]
+
+    def row(mode: str, sweep: Any) -> List[List[Any]]:
+        walls = [point.recovery_wall_ns for point in sweep.points] or [0]
+        return [[mode, len(sweep.points), sweep.total_steps,
+                 len(sweep.failures()), sum(walls) / len(walls) / 1e6,
+                 max(walls) / 1e6, sweep.digest()]]
+    failed = _report_campaigns(
+        sweeps,
         ["mode", "crash_points", "workload_steps", "failures",
          "rec_mean_ms", "rec_max_ms", "digest"],
-        rows, title=f"fault sweep (seed {args.seed})"))
-    print(f"\n[{sum(r[1] for r in rows)} crash points: {elapsed:.1f}s]")
+        row, f"fault sweep (seed {args.seed})")
+    print(f"\n[{len(modes) * args.crash_points} crash points: "
+          f"{time.time() - started:.1f}s]")
     return 1 if failed else 0
 
 
@@ -778,21 +774,22 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
             mode=args.mode, crash_points=args.campaign, seed=args.seed,
             ops=args.ops, num_keys=args.keys, link=link,
             strategies=strategies)
-        rows = []
-        for strategy in strategies:
-            rows.append([strategy, len(campaign.points),
-                         campaign.mean_rto_ns(strategy) / 1e6,
-                         campaign.mean_rpo_ops(strategy)])
-        print(format_table(
+        failed = _report_campaigns(
+            [(args.mode, campaign)],
             ["strategy", "crash_points", "rto_mean_ms", "rpo_mean_ops"],
-            rows, title=f"kill-the-primary campaign (mode {args.mode}, "
-                        f"seed {args.seed}, digest {campaign.digest()})"))
+            lambda _mode, result: [
+                [strategy, len(result.points),
+                 result.mean_rto_ns(strategy) / 1e6,
+                 result.mean_rpo_ops(strategy)]
+                for strategy in strategies],
+            f"kill-the-primary campaign (mode {args.mode}, "
+            f"seed {args.seed}, digest {campaign.digest()})")
         if len(strategies) == 2:
             print(f"\nwarm promote vs snapshot+replay RTO: "
                   f"{campaign.rto_speedup():.2f}x faster")
         print(f"[{len(campaign.points)} kills, zero acked-write loss: "
               f"{time.time() - started:.1f}s]")
-        return 0 if campaign.ok else 1
+        return 1 if failed else 0
 
     # Single kill-and-promote run.
     config = campaign_config(mode=args.mode, seed=args.seed, ops=args.ops,

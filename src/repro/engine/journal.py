@@ -170,11 +170,6 @@ class JournalManager:
         return commit_event
 
     @property
-    def pending_count(self) -> int:
-        """Updates waiting for the next transaction."""
-        return len(self._pending)
-
-    @property
     def active_bytes_logged(self) -> int:
         """Stored journal bytes in the active epoch (checkpoint trigger)."""
         return self.active_jmt.bytes_logged

@@ -60,11 +60,6 @@ class KeyValueMap:
         """Sectors allocated so far."""
         return self._next_lba - self.data_lba_start
 
-    @property
-    def free_sectors(self) -> int:
-        """Sectors still available in the data region."""
-        return self.data_sectors - self.used_sectors
-
     # -- mutations ----------------------------------------------------------
     def insert(self, key: int, size_bytes: int,
                stored_bytes: Optional[int] = None,

@@ -98,10 +98,6 @@ class Fig13bResult:
             ["pattern"] + [f"overhead%@{unit}" for unit in self.units],
             rows, title="Figure 13(b): Check-In space overhead vs ISC-C")
 
-    def max_overhead_at(self, unit: int) -> float:
-        """Worst-case overhead across the patterns at one unit size."""
-        return max(self.overhead_pct(p, unit) for p in self.patterns)
-
 
 def run_fig13b(scale: ExperimentScale = QUICK,
                patterns: Sequence[str] = ("P1", "P2", "P3", "P4"),

@@ -125,11 +125,6 @@ class Fig8bResult:
         return self.relative_lifetime("checkin") / \
             self.relative_lifetime("baseline")
 
-    def lifetime_vs_iscc(self) -> float:
-        """Equation (1) lifetime factor, Check-In over ISC-C."""
-        return self.relative_lifetime("checkin") / \
-            self.relative_lifetime("isc_c")
-
     def lifetime_table(self) -> str:
         """Render the Equation (1) rows."""
         rows = []

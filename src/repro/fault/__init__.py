@@ -9,11 +9,18 @@ recovered KV state matches what was durably committed.
 """
 
 from repro.fault.crash import CrashReport, power_cut, recover_device
-from repro.fault.harness import CrashPointResult, SweepResult, fault_sweep
+from repro.fault.harness import (
+    CampaignResult,
+    CrashPointResult,
+    OpenLoopCrashPoint,
+    fault_sweep,
+    iter_crash_points,
+    open_loop_crash_sweep,
+    run_campaign,
+)
 from repro.fault.invariants import assert_ftl_invariants, check_ftl_invariants
 from repro.fault.media import (
     MediaPointResult,
-    MediaSweepResult,
     media_error_config,
     media_sweep,
     spare_exhaustion_run,
@@ -23,13 +30,16 @@ __all__ = [
     "CrashReport",
     "power_cut",
     "recover_device",
+    "CampaignResult",
     "CrashPointResult",
-    "SweepResult",
+    "OpenLoopCrashPoint",
     "fault_sweep",
+    "iter_crash_points",
+    "open_loop_crash_sweep",
+    "run_campaign",
     "assert_ftl_invariants",
     "check_ftl_invariants",
     "MediaPointResult",
-    "MediaSweepResult",
     "media_error_config",
     "media_sweep",
     "spare_exhaustion_run",

@@ -22,23 +22,21 @@ keyed on it too), so a campaign is exactly reproducible.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
-from repro.common.errors import RecoveryError, SimulationError
+from repro.common.rng import SeededRng
 from repro.common.units import MIB
-from repro.engine.recovery import check_durability
-from repro.fault.crash import power_cut, recover_device
-from repro.fault.harness import _scripted_client, _state_digest
-from repro.fault.invariants import (
-    check_ftl_invariants,
-    check_namespace_isolation,
+from repro.fault.harness import (
+    CampaignResult,
+    CrashPointResult,
+    _cut_and_verify,
+    _drive,
+    _start,
+    _sweep_config,
 )
 from repro.flash.media import MediaErrorConfig
-from repro.common.rng import SeededRng
-from repro.sim.process import spawn
-from repro.system.config import SystemConfig, TenantSpec, tiny_config
+from repro.system.config import tiny_config
 from repro.system.system import KvSystem, RunResult
 
 
@@ -58,29 +56,13 @@ def media_error_config(rate: float) -> MediaErrorConfig:
     )
 
 
-def _media_config(mode: str, seed: int, num_keys: int, rate: float,
-                  tenants: int = 1) -> SystemConfig:
-    media = media_error_config(rate)
-    if tenants <= 1:
-        return tiny_config(mode=mode, seed=seed, num_keys=num_keys,
-                           track_op_log=True, snapshot_metadata=True,
-                           media=media)
-    return tiny_config(mode=mode, seed=seed, num_keys=num_keys,
-                       track_op_log=True, snapshot_metadata=True,
-                       media=media,
-                       journal_area_bytes=1 * MIB,
-                       tenants=tuple(TenantSpec()
-                                     for _ in range(tenants)))
-
-
 @dataclass
-class MediaPointResult:
-    """Outcome of one (rate, mode, tenants) campaign point."""
+class MediaPointResult(CrashPointResult):
+    """One (rate, mode, tenants) point: the media faults the run drew."""
 
-    mode: str
-    rate: float
-    tenants: int
-    acked_keys: int = 0
+    mode: str = ""
+    rate: float = 0.0
+    tenants: int = 1
     program_fails: int = 0
     erase_fails: int = 0
     uecc_events: int = 0
@@ -88,109 +70,65 @@ class MediaPointResult:
     bad_blocks: int = 0
     degraded: bool = False
     client_errors: List[str] = field(default_factory=list)
-    checkpoint_violations: List[str] = field(default_factory=list)
-    invariant_violations: List[str] = field(default_factory=list)
-    durability_error: str = ""
-    recovered_digest: str = ""
 
     @property
-    def ok(self) -> bool:
-        """True when nothing acked was lost and every process finished."""
-        return (not self.client_errors
-                and not self.checkpoint_violations
-                and not self.invariant_violations
-                and not self.durability_error)
-
-
-@dataclass
-class MediaSweepResult:
-    """All points of one media-error campaign."""
-
-    mode: str
-    seed: int
-    results: List[MediaPointResult] = field(default_factory=list)
+    def label(self) -> str:
+        return f"rate {self.rate}"
 
     @property
-    def ok(self) -> bool:
-        """True when every point survived with durability intact."""
-        return all(result.ok for result in self.results)
+    def digest_line(self) -> str:
+        # The scripted workload always completes, so the recovered state
+        # alone is the same for every seed: the fault counters are what
+        # make the line see the media path.
+        return (f"{self.rate}:{self.recovered_digest}:{self.program_fails}:"
+                f"{self.erase_fails}:{self.uecc_events}:{self.relocations}:"
+                f"{self.bad_blocks}:{int(self.degraded)}")
 
-    def failures(self) -> List[MediaPointResult]:
-        """Points that lost data or broke an invariant."""
-        return [result for result in self.results if not result.ok]
+    def problems(self) -> List[str]:
+        return self.client_errors + super().problems()
 
-    def digest(self) -> str:
-        """Stable fingerprint of the campaign (determinism checks)."""
-        digest = hashlib.sha256()
-        for result in self.results:
-            digest.update(
-                f"{result.rate}:{result.recovered_digest}".encode())
-        return digest.hexdigest()[:16]
+
+def _media_point(mode: str, rate: float, seed: int, ops: int,
+                 num_keys: int, ckpt_every: int,
+                 tenants: int) -> MediaPointResult:
+    config = _sweep_config(mode, seed, num_keys, tenants,
+                           media=media_error_config(rate))
+    run = _start(config, ops, ckpt_every)
+    _drive(run, f"media sweep at rate {rate}")
+    system = run.system
+    snapshot = system.ssd.stats.snapshot()
+    point = MediaPointResult(
+        mode=mode, rate=rate, tenants=tenants,
+        program_fails=snapshot.get("media.program_fail", 0),
+        erase_fails=snapshot.get("media.erase_fail", 0),
+        uecc_events=snapshot.get("media.read_uecc", 0),
+        relocations=snapshot.get("media.relocations", 0),
+        bad_blocks=len(system.ssd.ftl.grown_bad),
+        degraded=system.ssd.degraded,
+        # The whole robustness claim: a mid-run media error surfaces as
+        # a typed failure or a rejected op, never a dead process.
+        client_errors=[f"{proc.name}: {proc.exception!r}"
+                       for proc in run.procs if not proc.ok])
+    return _cut_and_verify(
+        run, SeededRng(seed).fork(f"media/{mode}/{rate}"), point)
 
 
 def media_sweep(mode: str, rates: Tuple[float, ...] = (1e-3, 1e-2),
                 seed: int = 7, ops: int = 120, num_keys: int = 64,
-                ckpt_every: int = 40, tenants: int = 1) -> MediaSweepResult:
+                ckpt_every: int = 40, tenants: int = 1) -> CampaignResult:
     """Run the scripted workload under each media-error rate and verify.
 
-    Each point: run ``ops`` scripted updates (with periodic checkpoints)
-    per tenant on a device drawing seeded media failures, then power-cut,
-    recover, and check ``acked <= recovered <= current`` plus every FTL
-    structural invariant — including bad-block quarantine.
+    Each point (:class:`MediaPointResult`): run ``ops`` scripted updates
+    (with periodic checkpoints) per tenant to completion on a device
+    drawing seeded media failures, then power-cut, recover, and check
+    ``acked <= recovered <= current`` plus every FTL structural invariant
+    — including bad-block quarantine.
     """
-    from repro.fault.harness import _start
-
-    sweep = MediaSweepResult(mode=mode, seed=seed)
-    for rate in rates:
-        config = _media_config(mode, seed, num_keys, rate, tenants)
-        system, ackeds, procs, ckpt_violations = _start(config, ops,
-                                                        ckpt_every)
-        point = MediaPointResult(mode=mode, rate=rate, tenants=tenants)
-        while not all(proc.triggered for proc in procs):
-            if not system.sim.step():
-                raise SimulationError(
-                    f"media sweep drained early at rate {rate}")
-        for proc in procs:
-            # The whole robustness claim: a mid-run media error surfaces
-            # as a typed failure or a rejected op, never a dead process.
-            if not proc.ok:
-                point.client_errors.append(
-                    f"{proc.name}: {proc.exception!r}")
-        point.checkpoint_violations = list(ckpt_violations)
-
-        snapshot = system.ssd.stats.snapshot()
-        point.program_fails = snapshot.get("media.program_fail", 0)
-        point.erase_fails = snapshot.get("media.erase_fail", 0)
-        point.uecc_events = snapshot.get("media.read_uecc", 0)
-        point.relocations = snapshot.get("media.relocations", 0)
-        point.bad_blocks = len(system.ssd.ftl.grown_bad)
-        point.degraded = system.ssd.degraded
-
-        acked_at_cut = [dict(acked) for acked in ackeds]
-        currents = [{record.key: record.version
-                     for record in tenant.engine.kvmap.records()}
-                    for tenant in system.tenants]
-        point.acked_keys = sum(len(acked) for acked in acked_at_cut)
-
-        power_cut(system, SeededRng(seed).fork(f"media/{mode}/{rate}"))
-        recover_device(system)
-        point.invariant_violations = check_ftl_invariants(system.ssd.ftl)
-        if config.tenants is not None:
-            point.invariant_violations.extend(
-                check_namespace_isolation(system.ssd.ftl))
-        digests: List[str] = []
-        for tenant, acked, current in zip(system.tenants, acked_at_cut,
-                                          currents):
-            try:
-                recovered = check_durability(tenant.engine, acked, current)
-                digests.append(_state_digest(recovered.versions))
-            except RecoveryError as exc:
-                point.durability_error = f"{tenant.name}: {exc}"
-                break
-        else:
-            point.recovered_digest = "+".join(digests)
-        sweep.results.append(point)
-    return sweep
+    return CampaignResult(
+        mode=mode, seed=seed, total_steps=0,
+        points=[_media_point(mode, rate, seed, ops, num_keys, ckpt_every,
+                             tenants)
+                for rate in rates])
 
 
 def spare_exhaustion_run(seed: int = 11, mode: str = "baseline"

@@ -54,11 +54,6 @@ class FlashGeometry:
                 self.dies_per_package * self.planes_per_die)
 
     @property
-    def blocks_per_lun(self) -> int:
-        """Erase blocks per LUN (one plane's worth)."""
-        return self.blocks_per_plane
-
-    @property
     def total_blocks(self) -> int:
         """Erase blocks in the whole array."""
         return self.num_luns * self.blocks_per_plane

@@ -965,11 +965,6 @@ class Ftl:
     def _note_dirty_entries(self, n: int) -> None:
         self._dirty_map_entries += n
 
-    def metadata_units_pending(self) -> int:
-        """Units of mapping metadata waiting to be persisted."""
-        dirty_bytes = self._dirty_map_entries * self.config.meta_entry_bytes
-        return dirty_bytes // self.config.mapping_unit
-
     def _maybe_persist_metadata(self) -> Generator[Any, Any, None]:
         # Persist only once a full page worth of entries accumulated, so
         # the flash sees parallel-friendly bulk metadata writes.
@@ -1019,22 +1014,6 @@ class Ftl:
         """True while ``upa`` still lives in the capacitor-backed staging
         buffer (its flash page may be unwritten or torn)."""
         return upa in self._staged_tags
-
-    def durable_state(self) -> Dict[str, Any]:
-        """Everything that survives a power cut.
-
-        The staging buffer is capacitor-backed (writes ack only once
-        staged, §III-D), so its content — and the OOB records that will
-        accompany it to flash — is durable.  The op log models the
-        remap/trim journal the paper persists with sequence numbers, and
-        the persisted snapshot is the last mapping-table flush.
-        """
-        return {
-            "staged_tags": dict(self._staged_tags),
-            "staged_oob": dict(self._staged_oob),
-            "op_log": list(self.op_log) if self.op_log is not None else None,
-            "persisted_snapshot": dict(self._persisted_snapshot),
-        }
 
     def volatile_state(self) -> Dict[str, Any]:
         """Everything a power cut destroys (diagnostic summary).

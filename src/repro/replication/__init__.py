@@ -14,12 +14,14 @@ Layered bottom-up:
   :class:`ReplicatedPair` with its warm :class:`ReplicaApplier` and
   promote-on-failure;
 * :mod:`~repro.replication.campaign` — the seeded kill-the-primary
-  campaign comparing warm promote vs snapshot+replay.
+  campaign comparing warm promote vs snapshot+replay, run on the fault
+  harness's campaign loop (its :class:`CampaignResult` is the shared
+  one from :mod:`repro.fault.harness`).
 """
 
+from repro.fault.harness import CampaignResult
 from repro.replication.campaign import (
     CampaignPoint,
-    CampaignResult,
     ColdRestoreReport,
     campaign_config,
     cold_restore,

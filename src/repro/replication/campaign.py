@@ -1,7 +1,7 @@
 """Kill-the-primary campaign: seeded crash points × recovery strategies.
 
-Reuses the fault harness's crash-point discipline
-(:func:`~repro.fault.harness.iter_crash_points`): a reference run learns
+Runs on the fault harness's campaign loop
+(:func:`~repro.fault.harness.run_campaign`): a reference run learns
 the replicated workload's merged-event-step count ``T``, then each
 seeded point replays the identical workload on a fresh primary+replica
 pair, power-cuts the primary after ``step ∈ [1, T]`` merged steps, and
@@ -21,16 +21,16 @@ whole thing reproducible: same seed → same crash steps → same digests.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
-from typing import Any, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.common.errors import ReplicationError
-from repro.fault.harness import iter_crash_points
+from repro.common.rng import SeededRng
+from repro.fault.harness import CampaignResult, run_campaign
 from repro.replication.replica import (
     DEFAULT_FAILOVER_DETECT_NS,
-    PromoteReport,
     ReplicatedPair,
+    read_back,
     state_digest,
 )
 from repro.replication.ship import LinkSpec
@@ -84,61 +84,35 @@ class CampaignPoint:
     index: int
     crash_step: int
     kill_ns: int
-    primary_ops: int
-    warm: Optional[PromoteReport] = None
-    cold: Optional[ColdRestoreReport] = None
+    reports: Dict[str, Any] = field(default_factory=dict)
+    """Strategy name (``warm`` / ``snapshot``) to its
+    :class:`~repro.replication.replica.PromoteReport` or
+    :class:`ColdRestoreReport`."""
+
+    @property
+    def label(self) -> str:
+        """Where this point sits in its campaign (failure reports)."""
+        return f"point {self.index} (step {self.crash_step})"
+
+    @property
+    def digest_line(self) -> str:
+        """This point's contribution to :meth:`CampaignResult.digest`."""
+        digests = [self.reports[strategy].digest
+                   if strategy in self.reports else "-"
+                   for strategy in CAMPAIGN_STRATEGIES]
+        return ":".join([str(self.crash_step)] + digests)
+
+    def problems(self) -> List[str]:
+        """The strategies that broke the durability contract."""
+        return [f"{strategy} recovery violated the durability contract "
+                f"(acked={report.acked_offset}, digest {report.digest} != "
+                f"{report.expected_digest})"
+                for strategy, report in self.reports.items()
+                if not report.contract_ok]
 
     @property
     def ok(self) -> bool:
-        return ((self.warm is None or self.warm.contract_ok)
-                and (self.cold is None or self.cold.contract_ok))
-
-
-@dataclass
-class CampaignResult:
-    """All points of one (mode, seed) kill-the-primary campaign."""
-
-    mode: str
-    seed: int
-    total_steps: int
-    strategies: Tuple[str, ...]
-    points: List[CampaignPoint] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(point.ok for point in self.points)
-
-    def failures(self) -> List[CampaignPoint]:
-        return [point for point in self.points if not point.ok]
-
-    def digest(self) -> str:
-        """Stable fingerprint of the campaign (determinism checks)."""
-        digest = hashlib.sha256()
-        for point in self.points:
-            warm = point.warm.digest if point.warm is not None else "-"
-            cold = point.cold.digest if point.cold is not None else "-"
-            digest.update(f"{point.crash_step}:{warm}:{cold}".encode())
-        return digest.hexdigest()[:16]
-
-    def mean_rto_ns(self, strategy: str) -> float:
-        values = [getattr(point, "warm" if strategy == "warm" else
-                          "cold").rto_ns
-                  for point in self.points
-                  if getattr(point, "warm" if strategy == "warm" else
-                             "cold") is not None]
-        return sum(values) / len(values) if values else 0.0
-
-    def mean_rpo_ops(self, strategy: str) -> float:
-        attr = "warm" if strategy == "warm" else "cold"
-        values = [getattr(point, attr).rpo_ops for point in self.points
-                  if getattr(point, attr) is not None]
-        return sum(values) / len(values) if values else 0.0
-
-    def rto_speedup(self) -> float:
-        """Cold mean RTO over warm mean RTO (>1: warm promote is faster)."""
-        warm = self.mean_rto_ns("warm")
-        cold = self.mean_rto_ns("snapshot")
-        return cold / warm if warm > 0 else 0.0
+        return not self.problems()
 
 
 def _fresh_standby(config: SystemConfig) -> KvSystem:
@@ -166,8 +140,8 @@ def _replay_entries(system: KvSystem, entries: List[Tuple[int, int, int, int]]
 
 
 def cold_restore(pair: ReplicatedPair,
-                 failover_detect_ns: int = DEFAULT_FAILOVER_DETECT_NS,
-                 verify_reads: int = 8) -> ColdRestoreReport:
+                 failover_detect_ns: int = DEFAULT_FAILOVER_DETECT_NS
+                 ) -> ColdRestoreReport:
     """applySnapshot + journal-replay on a fresh node; measure RTO/RPO.
 
     The cold node's clock starts at the kill instant.  It pays, in
@@ -209,19 +183,7 @@ def cold_restore(pair: ReplicatedPair,
     expected.update(pair.log.fold(restored_to))
     observed = {record.key: record.version
                 for record in cold.engine.kvmap.records()}
-    acked_state = pair.log.fold(acked)
-    reads_done = 0
-    for key in sorted(acked_state)[:max(0, verify_reads)]:
-        read = spawn(cold.sim, cold.engine.get(key),
-                     name=f"cold-verify-{key}")
-        cold.sim.run_until_triggered(read, name="cold-verify")
-        if not read.ok:
-            raise read.exception
-        if read.value < acked_state[key]:
-            raise ReplicationError(
-                f"acked write lost in cold restore: key {key} acked at "
-                f"version {acked_state[key]}, served {read.value}")
-        reads_done += 1
+    reads_done = read_back(cold, pair.log.fold(acked), "cold")
     cold.engine.shutdown()
     return ColdRestoreReport(
         rto_ns=rto_ns, rpo_ops=len(pair.log) - restored_to,
@@ -254,39 +216,31 @@ def kill_primary_campaign(mode: str = "checkin", crash_points: int = 50,
     config = campaign_config(mode=mode, seed=seed, ops=ops,
                              num_keys=num_keys, **config_overrides)
 
-    # Reference run: learn the replicated workload's merged step count.
-    pair = ReplicatedPair(config, link=link)
-    pair.start()
-    total_steps, _finished = pair.run_workload()
-    pair.stop()
+    def reference() -> int:
+        """The replicated workload's merged step count."""
+        pair = ReplicatedPair(config, link=link)
+        pair.start()
+        total_steps, _finished = pair.run_workload()
+        pair.stop()
+        return total_steps
 
-    result = CampaignResult(mode=mode, seed=seed, total_steps=total_steps,
-                            strategies=tuple(strategies))
-    for index, crash_step, point_rng in iter_crash_points(
-            seed, total_steps, crash_points, f"repl/{mode}"):
+    def run_point(index: int, crash_step: int,
+                  rng: SeededRng) -> CampaignPoint:
         pair = ReplicatedPair(config, link=link)
         pair.start()
         pair.run_workload(kill_step=crash_step)
-        pair.kill_primary(point_rng.fork("tear"))
+        pair.kill_primary(rng.fork("tear"))
         point = CampaignPoint(index=index, crash_step=crash_step,
-                              kill_ns=pair.primary.sim.now,
-                              primary_ops=len(pair.log))
+                              kill_ns=pair.primary.sim.now)
         if "warm" in strategies:
-            point.warm = pair.promote(failover_detect_ns=failover_detect_ns)
-            if not point.warm.contract_ok:
-                raise ReplicationError(
-                    f"point {index} (step {crash_step}): warm promote "
-                    f"violated the durability contract "
-                    f"(acked={point.warm.acked_offset}, "
-                    f"applied={point.warm.applied_offset}, "
-                    f"digest {point.warm.digest} != "
-                    f"{point.warm.expected_digest})")
+            point.reports["warm"] = pair.promote(
+                failover_detect_ns=failover_detect_ns)
         if "snapshot" in strategies:
-            point.cold = cold_restore(
+            point.reports["snapshot"] = cold_restore(
                 pair, failover_detect_ns=failover_detect_ns)
-            if not point.cold.contract_ok:
-                raise ReplicationError(
-                    f"point {index} (step {crash_step}): cold restore "
-                    f"violated the durability contract")
-        result.points.append(point)
-    return result
+        if not point.ok:
+            raise ReplicationError(f"{point.label}: {point.problems()[0]}")
+        return point
+
+    return run_campaign(mode, seed, crash_points, f"repl/{mode}",
+                        reference, run_point)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.common.errors import CorruptFrameError, TruncatedFrameError
 
@@ -176,14 +176,6 @@ def decode_stream(data: bytes) -> Tuple[Dict[str, Any], List[Any]]:
             f"BEGIN frame promises {meta.get('records')} records, "
             f"stream carried {len(records)}")
     return meta, records
-
-
-def iter_frames(data: bytes) -> Iterator[Tuple[int, int, Any]]:
-    """Yield (kind, seq, payload) for each frame (validating as it goes)."""
-    offset = 0
-    while offset < len(data):
-        kind, seq, payload, offset = decode_frame(data, offset)
-        yield kind, seq, payload
 
 
 def flip_bit(data: bytes, bit_index: int) -> bytes:

@@ -69,6 +69,24 @@ def state_digest(versions: Dict[int, int]) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def read_back(system: KvSystem, acked_state: Dict[int, int],
+              role: str) -> int:
+    """Read every acked key through ``system``'s engine; raise
+    :class:`ReplicationError` if one serves an older version than was
+    acked.  Returns the number of reads."""
+    for key in sorted(acked_state):
+        read = spawn(system.sim, system.engine.get(key),
+                     name=f"{role}-verify-{key}")
+        system.sim.run_until_triggered(read, name=f"{role}-verify")
+        if not read.ok:
+            raise read.exception
+        if read.value < acked_state[key]:
+            raise ReplicationError(
+                f"acked write lost in {role}: key {key} acked at version "
+                f"{acked_state[key]}, served {read.value}")
+    return len(acked_state)
+
+
 @dataclass
 class PromoteReport:
     """Everything a promote-on-failure measured and verified."""
@@ -397,8 +415,8 @@ class ReplicatedPair:
         return power_cut(self.primary, rng)
 
     def promote(self,
-                failover_detect_ns: int = DEFAULT_FAILOVER_DETECT_NS,
-                verify_reads: int = 8) -> PromoteReport:
+                failover_detect_ns: int = DEFAULT_FAILOVER_DETECT_NS
+                ) -> PromoteReport:
         """Promote the replica; measure RTO/RPO and verify the contract.
 
         Must be called after :meth:`kill_primary`.  Deliveries already
@@ -430,7 +448,6 @@ class ReplicatedPair:
         # 3. First served read — the RTO endpoint.
         applied = self.applier.applied_offset
         acked = self.shipper.acked_offset
-        acked_state = self.log.fold(acked)
         first_key = self.log.entries[acked - 1][1] if acked > 0 \
             else next(iter(k for k, _ in self._initial_keys()), 0)
         first = spawn(replica.sim, replica.engine.get(first_key),
@@ -439,25 +456,13 @@ class ReplicatedPair:
         if not first.ok:
             raise first.exception
         promoted_ns = replica.sim.now
-        # 4. Verify: exact state equality at applied_offset, and read a
-        #    sample of acked keys through the promoted engine.
+        # 4. Verify: exact state equality at applied_offset, and read
+        #    every acked key back through the promoted engine.
         expected = {key: 0 for key, _ in self._initial_keys()}
         expected.update(self.log.fold(applied))
         observed = {record.key: record.version
                     for record in replica.engine.kvmap.records()}
-        reads_done = 0
-        for key in sorted(acked_state)[:max(0, verify_reads)]:
-            read = spawn(replica.sim, replica.engine.get(key),
-                         name=f"promote-verify-{key}")
-            replica.sim.run_until_triggered(read, name="promote-verify")
-            if not read.ok:
-                raise read.exception
-            if read.value < acked_state[key]:
-                raise ReplicationError(
-                    f"acked write lost: key {key} acked at version "
-                    f"{acked_state[key]}, promoted replica served "
-                    f"{read.value}")
-            reads_done += 1
+        reads_done = read_back(replica, self.log.fold(acked), "promote")
         recorder = replica.sim.flightrec
         if recorder is not None:
             recorder.record(promoted_ns, "repl", "promote", None,

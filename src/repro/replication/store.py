@@ -2,8 +2,7 @@
 
 The store captures *epochs* — consistent key→version maps folded from a
 prefix of the primary's :class:`~repro.replication.ship.ReplicationLog`
-— and serializes them as validated frame streams (full snapshots, or
-deltas between retained epochs).  The interface follows the Aurora
+— and serializes them as validated full-snapshot frame streams.  The interface follows the Aurora
 checkpoint-store shape the roadmap calls out:
 
 * :meth:`checkpoint` — capture the current log prefix as a new epoch
@@ -34,7 +33,6 @@ from repro.replication.frames import decode_stream, encode_stream
 from repro.replication.ship import ReplicationLog
 
 SNAPSHOT_KIND_FULL = "snapshot.full"
-SNAPSHOT_KIND_DELTA = "snapshot.delta"
 
 INSTALL_NS_PER_RECORD = 1_500
 """Modeled per-record cost of installing a snapshot record on restore
@@ -113,56 +111,24 @@ class CheckpointStore:
                               "epoch": epoch.epoch_id,
                               "log_offset": epoch.log_offset}, records)
 
-    def create_delta(self, base_epoch_id: int,
-                     epoch_id: Optional[int] = None) -> bytes:
-        """Incremental snapshot: keys that changed since ``base``.
-
-        Applying it on top of state at ``base`` yields state at the
-        target epoch — the cheap catch-up path for a replica that
-        already holds a retained epoch.
-        """
-        base = self.epoch(base_epoch_id)
-        target = self.epoch(epoch_id)
-        if target.log_offset < base.log_offset:
-            raise ReplicationError(
-                f"delta target epoch {target.epoch_id} predates base "
-                f"{base.epoch_id}")
-        records = [[key, version]
-                   for key, version in sorted(target.state.items())
-                   if base.state.get(key) != version]
-        return encode_stream({"kind": SNAPSHOT_KIND_DELTA,
-                              "epoch": target.epoch_id,
-                              "base_epoch": base.epoch_id,
-                              "base_log_offset": base.log_offset,
-                              "log_offset": target.log_offset}, records)
-
     def fetch_checkpoint(self) -> bytes:
         """The newest retained epoch, serialized (Aurora ``fetch``)."""
         return self.create_snapshot()
 
     # -- restore -------------------------------------------------------
     @staticmethod
-    def apply_snapshot(data: bytes, engine: StorageEngine,
-                       expect_base_offset: Optional[int] = None
-                       ) -> ApplyReport:
+    def apply_snapshot(data: bytes, engine: StorageEngine) -> ApplyReport:
         """Validate ``data`` and install it into ``engine`` instantly.
 
         Raises a typed :class:`SnapshotFrameError` subclass on any
         truncation or corruption *before touching the engine* — the
         whole stream is decoded and verified first, so a refused
         snapshot leaves the engine byte-identical to before the call.
-        For deltas, ``expect_base_offset`` (the restoring side's current
-        log offset) must match the delta's base.
         """
         meta, records = decode_stream(data)
         kind = meta.get("kind")
-        if kind not in (SNAPSHOT_KIND_FULL, SNAPSHOT_KIND_DELTA):
+        if kind != SNAPSHOT_KIND_FULL:
             raise CorruptFrameError(f"not a snapshot stream: kind={kind!r}")
-        if kind == SNAPSHOT_KIND_DELTA and expect_base_offset is not None \
-                and meta.get("base_log_offset") != expect_base_offset:
-            raise ReplicationError(
-                f"delta base offset {meta.get('base_log_offset')} does not "
-                f"match restoring state at offset {expect_base_offset}")
         installed = 0
         skipped = 0
         for key, version in records:

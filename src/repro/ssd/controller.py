@@ -239,7 +239,6 @@ class SsdController:
                     if command.nsid is not None else None)
         if ns_gauge is not None:
             ns_gauge.adjust(1)
-            self.interface.note_admitted(command.nsid)
         if is_user:
             self._outstanding_user += 1
         try:
@@ -288,7 +287,6 @@ class SsdController:
             self.queue_depth.adjust(-1)
             if ns_gauge is not None:
                 ns_gauge.adjust(-1)
-                self.interface.note_completed(command.nsid)
             if is_user:
                 self._outstanding_user -= 1
             self.interface.release_slot()

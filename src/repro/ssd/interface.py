@@ -144,7 +144,6 @@ class HostInterface:
         self.config = config
         self.queue = Resource(sim, config.queue_depth, name="sq")
         self._link = Resource(sim, 1, name="pcie")
-        self._outstanding_ns: Dict[int, int] = {}
 
     @property
     def outstanding(self) -> int:
@@ -155,25 +154,6 @@ class HostInterface:
     def queued(self) -> int:
         """Commands waiting for a slot."""
         return self.queue.queue_length
-
-    # -- per-namespace accounting ---------------------------------------
-    def note_admitted(self, nsid: Optional[int]) -> None:
-        """Record one admitted command for ``nsid`` (None = unowned)."""
-        if nsid is not None:
-            self._outstanding_ns[nsid] = self._outstanding_ns.get(nsid, 0) + 1
-
-    def note_completed(self, nsid: Optional[int]) -> None:
-        """Record one completed command for ``nsid``."""
-        if nsid is not None:
-            remaining = self._outstanding_ns.get(nsid, 0) - 1
-            if remaining <= 0:
-                self._outstanding_ns.pop(nsid, None)
-            else:
-                self._outstanding_ns[nsid] = remaining
-
-    def outstanding_in(self, nsid: int) -> int:
-        """Admitted-but-incomplete commands belonging to one namespace."""
-        return self._outstanding_ns.get(nsid, 0)
 
     def acquire_slot(self) -> Any:
         """Event that fires when a submission-queue slot is granted."""

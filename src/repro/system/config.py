@@ -410,11 +410,6 @@ class SystemConfig:
     # ------------------------------------------------------------------
     # multi-tenant (namespace) derivations
     # ------------------------------------------------------------------
-    @property
-    def num_tenants(self) -> int:
-        """Tenant count (1 for a classic single-tenant run)."""
-        return len(self.tenants) if self.tenants is not None else 1
-
     def tenant_view(self, index: int) -> "SystemConfig":
         """The effective single-tenant config of tenant ``index``.
 

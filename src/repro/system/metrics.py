@@ -122,14 +122,6 @@ class RunMetrics:
         end = self._end_bytes if self._end_bytes else self.stats.snapshot_bytes()
         return end.get(counter, 0) - self._start_bytes.get(counter, 0)
 
-    def _delta_prefix_bytes(self, prefix: str) -> int:
-        end = self._end_bytes if self._end_bytes else self.stats.snapshot_bytes()
-        total = 0
-        for name, value in end.items():
-            if name.startswith(prefix):
-                total += value - self._start_bytes.get(name, 0)
-        return total
-
     # ------------------------------------------------------------------
     # derived quantities (one per paper metric)
     # ------------------------------------------------------------------
@@ -159,12 +151,6 @@ class RunMetrics:
     def io_amplification(self) -> float:
         """Host I/O bytes over write-query bytes (fig 3a, left group)."""
         return safe_ratio(self.host_io_bytes(), self.write_query_bytes())
-
-    def flash_ops(self) -> int:
-        """Flash array operations: reads + programs + erases."""
-        return (self.delta(names.FLASH_READ) +
-                self.delta(names.FLASH_PROGRAM) +
-                self.delta(names.FLASH_ERASE))
 
     def flash_bytes(self) -> int:
         """Flash bytes moved (reads + programs)."""

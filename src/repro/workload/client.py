@@ -169,11 +169,6 @@ class ClientPool:
                 self.on_complete(operation, self.sim.now - started,
                                  ckpt_at_start)
 
-    # Backwards-compatible alias used by older call sites/tests.
-    def _execute(self, operation: Operation, span: Any = None,
-                 blame: Any = None) -> Generator[Any, Any, None]:
-        yield from _execute_op(self.engine, operation, span, blame)
-
 
 @dataclass
 class OpenLoopResult:

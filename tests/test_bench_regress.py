@@ -96,6 +96,23 @@ class TestGate:
                              "--baseline", str(artifact)]) == 1
         assert "latency_p99_us" in capsys.readouterr().err
 
+    def test_zero_baseline_share_can_breach(self, artifact, tmp_path,
+                                            capsys):
+        """A zero baseline has no relative drift; the absolute floor
+        still trips on checkpoints taking over the tail."""
+        art = json.loads(artifact.read_text())
+        art["metrics"]["ckpt_blame_p99_share"] = 0.0
+        base = tmp_path / "BENCH_zero.json"
+        base.write_text(json.dumps(art))
+        art["metrics"]["ckpt_blame_p99_share"] = 0.99
+        bad = tmp_path / "BENCH_blamed.json"
+        bad.write_text(json.dumps(art))
+        assert regress.main([str(bad), "--baseline", str(base)]) == 1
+        assert "ckpt_blame_p99_share: grew by 0.99" in capsys.readouterr().err
+        art["metrics"]["ckpt_blame_p99_share"] = 0.04
+        bad.write_text(json.dumps(art))
+        assert regress.main([str(bad), "--baseline", str(base)]) == 0
+
     def test_operations_must_match_exactly(self, artifact, tmp_path):
         current = mutate(artifact, tmp_path, operations=1.001)
         assert regress.main([str(current),

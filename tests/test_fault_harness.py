@@ -154,8 +154,8 @@ class TestSweep:
     def test_sweep_is_deterministic(self):
         first = fault_sweep(mode="checkin", crash_points=5, seed=21, ops=80)
         second = fault_sweep(mode="checkin", crash_points=5, seed=21, ops=80)
-        assert [r.crash_step for r in first.results] == \
-            [r.crash_step for r in second.results]
+        assert [r.crash_step for r in first.points] == \
+            [r.crash_step for r in second.points]
         assert first.digest() == second.digest()
 
     @pytest.mark.parametrize("mode,steps,digest", [
@@ -177,9 +177,9 @@ class TestSweep:
         """The sweep must not be vacuous: plugs are pulled while processes
         run and while programs are mid-pulse."""
         sweep = fault_sweep(mode="checkin", crash_points=8, seed=5, ops=90)
-        assert any(r.report.killed_processes for r in sweep.results)
-        assert any(r.report.torn_pages for r in sweep.results)
-        assert any(r.acked_keys for r in sweep.results)
+        assert any(r.report.killed_processes for r in sweep.points)
+        assert any(r.report.torn_pages for r in sweep.points)
+        assert any(r.acked_keys for r in sweep.points)
 
     def test_crash_mid_checkpoint_recovers(self):
         """Force the crash into a running checkpoint specifically."""
@@ -224,7 +224,7 @@ class TestTenantSweep:
                             tenants=2)
         assert sweep.ok, sweep.failures()[0]
         # Every crash point verified both tenants' recovered states.
-        for result in sweep.results:
+        for result in sweep.points:
             assert result.recovered_digest.count("+") == 1
 
     def test_two_tenant_sweep_is_deterministic(self):

@@ -131,7 +131,7 @@ class TestMediaSweep:
         sweep = media_sweep("checkin", rates=(5e-2,), ops=60, num_keys=32,
                             ckpt_every=20)
         assert sweep.ok, sweep.failures()
-        point = sweep.results[0]
+        point = sweep.points[0]
         assert point.acked_keys > 0
         # At 5% the run must actually have exercised the media paths.
         assert point.program_fails > 0 or point.uecc_events > 0
@@ -145,7 +145,7 @@ class TestMediaSweep:
         sweep = media_sweep("checkin", rates=(1e-2,), ops=50, num_keys=32,
                             ckpt_every=25, tenants=2)
         assert sweep.ok, sweep.failures()
-        assert sweep.results[0].tenants == 2
+        assert sweep.points[0].tenants == 2
 
     def test_sweep_is_deterministic(self):
         first = media_sweep("checkin", rates=(1e-2,), ops=40, num_keys=32,
@@ -153,6 +153,17 @@ class TestMediaSweep:
         second = media_sweep("checkin", rates=(1e-2,), ops=40, num_keys=32,
                             ckpt_every=20)
         assert first.digest() == second.digest()
+
+    def test_digest_sees_the_media_path(self):
+        """The scripted workload always completes, so every seed recovers
+        the same KV state; only the drawn faults tell seeds apart.  Seed
+        8 draws a program failure at 1e-2, seed 7 draws none."""
+        seven = media_sweep("checkin", rates=(1e-2, 5e-2), seed=7)
+        eight = media_sweep("checkin", rates=(1e-2, 5e-2), seed=8)
+        assert seven.points[0].program_fails == 0
+        assert eight.points[0].program_fails > 0
+        assert seven.digest() == "42c4f4df9294a750"
+        assert eight.digest() == "e54c2cdf6dbb8d97"
 
 
 class TestDegradedMode:

@@ -116,31 +116,6 @@ class TestSnapshotStore:
                     if r.version}
         assert observed == log.fold(len(log))
 
-    def test_delta_on_base_equals_full(self, started_system):
-        _log, store = self._store_with_history()
-        base_id = store.epochs[-2].epoch_id
-        system = started_system(num_keys=32)
-        base_report = CheckpointStore.apply_snapshot(
-            store.create_snapshot(base_id), system.engine)
-        delta = store.create_delta(base_id)
-        meta, records = decode_stream(delta)
-        assert meta["kind"] == "snapshot.delta"
-        assert len(records) == 6    # only the re-written keys
-        report = CheckpointStore.apply_snapshot(
-            delta, system.engine,
-            expect_base_offset=base_report.log_offset)
-        assert report.installed == 6
-        observed = {r.key: r.version for r in system.engine.kvmap.records()
-                    if r.version}
-        assert observed == store.epochs[-1].state
-
-    def test_delta_base_mismatch_refused(self):
-        _log, store = self._store_with_history()
-        delta = store.create_delta(store.epochs[-2].epoch_id)
-        with pytest.raises(ReplicationError):
-            CheckpointStore.apply_snapshot(delta, engine=None,
-                                           expect_base_offset=999)
-
     def test_corrupt_snapshot_refused_before_touching_engine(
             self, started_system):
         _log, store = self._store_with_history()
@@ -151,6 +126,14 @@ class TestSnapshotStore:
             CheckpointStore.apply_snapshot(data, system.engine)
         after = {r.key: r.version for r in system.engine.kvmap.records()}
         assert after == before
+
+    def test_non_snapshot_stream_refused(self):
+        """A valid frame stream of any other kind never reaches the
+        engine (``engine=None`` would raise if it did)."""
+        for kind in ("snapshot.delta", "batch"):
+            with pytest.raises(CorruptFrameError):
+                CheckpointStore.apply_snapshot(
+                    encode_stream({"kind": kind}, RECORDS), engine=None)
 
     def test_bootstrap_epoch_always_fetchable(self):
         store = CheckpointStore(ReplicationLog())
@@ -223,7 +206,8 @@ class TestPromote:
         assert report.acked_offset <= report.applied_offset
         assert report.digest == report.expected_digest
         assert report.rpo_ops == len(pair.log) - report.applied_offset
-        assert report.verified_reads > 0
+        assert report.verified_reads == \
+            len(pair.log.fold(report.acked_offset)) > 0
         assert report.rto_ns > 0
         pair.stop()
 
@@ -234,6 +218,8 @@ class TestPromote:
         report = cold_restore(pair)
         assert report.contract_ok
         assert report.restored_offset >= report.acked_offset
+        assert report.verified_reads == \
+            len(pair.log.fold(report.acked_offset)) > 0
         assert report.rto_ns > 0
         pair.stop()
 
