@@ -23,9 +23,10 @@ simulation process.
 from __future__ import annotations
 
 import bisect
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, Iterable, List, Optional, Sequence, Tuple
+from typing import (Any, Deque, Dict, Generator, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from repro.common.errors import (
     ConfigError,
@@ -41,7 +42,7 @@ from repro.ftl.allocator import BlockAllocator, PageProgram
 from repro.ftl.gc import GarbageCollector
 from repro.ftl.mapping import SubPageMappingTable
 from repro.obs.blame import add_ns
-from repro.sim.core import Simulator, all_of
+from repro.sim.core import GRANTED, Event, Simulator, all_of
 from repro.sim.process import spawn
 from repro.sim.resources import Resource
 from repro.sim.stats import StatRegistry
@@ -179,7 +180,10 @@ class Ftl:
         self._map_cache_pages = (self.config.map_cache_bytes
                                  // self.geometry.page_size)
         self._map_cache: "OrderedDict[int, None]" = OrderedDict()
-        self._lpn_locks: Dict[int, Resource] = {}
+        self._lpn_locks: Dict[int, Optional[Deque[Event]]] = {}
+        """Per-LPN write locks: a missing key is a free LPN; a present key
+        is held, and maps to its FIFO of waiting Events (None until a
+        second writer arrives), so an uncontended lock builds nothing."""
         # Per-unit hot path: the config is frozen and counters are
         # get-or-create, so resolve the per-write costs and counter
         # objects once instead of per operation.
@@ -275,31 +279,6 @@ class Ftl:
         return self._inflight_per_block.get(block, 0)
 
     # ------------------------------------------------------------------
-    # per-LPN write serialisation
-    # ------------------------------------------------------------------
-    def _acquire_lpns(self, lpns: List[int]) -> Generator[Any, Any, None]:
-        """Serialise concurrent writers of the same logical pages.
-
-        A read-modify-write that overlaps another writer's RMW on the same
-        unit would otherwise lose the earlier merge (both start from the
-        same old content).  Locks are taken in sorted order, so overlapping
-        writers cannot deadlock.
-        """
-        for lpn in lpns:
-            lock = self._lpn_locks.get(lpn)
-            if lock is None:
-                lock = Resource(self.sim, 1, name=f"lpn{lpn}")
-                self._lpn_locks[lpn] = lock
-            yield lock.acquire()
-
-    def _release_lpns(self, lpns: List[int]) -> None:
-        for lpn in lpns:
-            lock = self._lpn_locks[lpn]
-            lock.release()
-            if lock.in_use == 0 and lock.queue_length == 0:
-                del self._lpn_locks[lpn]
-
-    # ------------------------------------------------------------------
     # DFTL map cache
     # ------------------------------------------------------------------
     def touch_map(self, lpns: Iterable[int]) -> Generator[Any, Any, None]:
@@ -339,95 +318,140 @@ class Ftl:
         ``tags`` carries one opaque tag per sector (or None).  Completion
         means every unit is staged in the protected buffer; page programs
         for filled pages run asynchronously with back-pressure.
+
+        Concurrent writers of the same logical pages are serialised by
+        per-LPN locks: a read-modify-write that overlapped another
+        writer's RMW on the same unit would otherwise lose the earlier
+        merge (both start from the same old content).  Locks are taken in
+        ascending LPN order, so overlapping writers cannot deadlock.
         """
         if tags is not None and len(tags) != nsectors:
             raise FtlError(f"expected {nsectors} sector tags, got {len(tags)}")
-        tracer = self.sim.tracer
+        sim = self.sim
+        tracer = sim.tracer
         span = tracer.begin("ftl", "write", lba=lba, nsectors=nsectors,
                             bytes=nsectors * 512, stream=stream,
                             cause=cause) \
             if tracer.enabled else None
-        locked = list(self.lpn_span(lba, nsectors))  # range is ascending
-        t0 = self.sim.now if blame is not None else 0
-        yield from self._acquire_lpns(locked)
+        lpns = self.lpn_span(lba, nsectors)  # ascending
+        locks = self._lpn_locks
+        t0 = sim.now if blame is not None else 0
+        for lpn in lpns:
+            if lpn in locks:
+                waiter = Event(sim)
+                queue = locks[lpn]
+                if queue is None:
+                    queue = locks[lpn] = deque()
+                queue.append(waiter)
+                yield waiter
+            else:
+                locks[lpn] = None
+                yield GRANTED
         if blame is not None:
-            add_ns(blame, "ftl_map", self.sim.now - t0)
+            add_ns(blame, "ftl_map", sim.now - t0)
         try:
-            yield from self._locked_write(lba, nsectors, tags, stream, cause,
-                                          blame)
+            t0 = sim.now if blame is not None else 0
+            yield from self.touch_map(lpns)
+            if blame is not None:
+                add_ns(blame, "ftl_map", sim.now - t0)
+
+            spu = self.sectors_per_unit
+            plan: List[Tuple[int, int, int, bool]] = []  # lpn, start, end, rmw
+            rmw_pages: List[int] = []
+            staged_old: Dict[int, UnitTags] = {}  # snapshot against de-staging races
+            for lpn in lpns:
+                unit_first_lba = lpn * spu
+                start = max(lba, unit_first_lba)
+                end = min(lba + nsectors, unit_first_lba + spu)
+                full_cover = (end - start) == spu
+                old_upa = self.mapping.lookup(lpn)
+                is_rmw = (not full_cover) and old_upa is not None
+                if is_rmw:
+                    staged = self._staged_tags.get(old_upa)
+                    if staged is not None:
+                        staged_old[lpn] = staged
+                    else:
+                        rmw_pages.append(self.mapping.page_of_unit(old_upa))
+                plan.append((lpn, start, end, is_rmw))
+
+            # Read-modify-write: fetch every old page once, in parallel.
+            old_pages: Dict[int, Any] = {}
+            if rmw_pages:
+                if blame is not None:
+                    t0, busy0 = sim.now, self.array.ckpt_busy_ns()
+                yield from self._read_pages_parallel(sorted(set(rmw_pages)),
+                                                     old_pages)
+                if blame is not None:
+                    self._charge_flash_wait(blame, "flash_read", t0, busy0)
+                self.stats.counter("ftl.rmw_reads").add(len(set(rmw_pages)))
+
+            # Merge every unit's tags before the first staging-slot wait.
+            units: List[Tuple[int, UnitTags, Any]] = []  # lpn, tags, oob
+            rmw_units = 0
+            for lpn, start, end, is_rmw in plan:
+                unit_first_lba = lpn * spu
+                merged: List[SectorTag] = [None] * spu
+                if is_rmw:
+                    rmw_units += 1
+                    old = staged_old.get(lpn)
+                    if old is None:
+                        old = self._old_unit_tags(lpn, old_pages)
+                    if old is not None:
+                        merged = list(old)
+                for sector in range(start, end):
+                    tag = tags[sector - lba] if tags is not None else None
+                    merged[sector - unit_first_lba] = tag
+                self._write_seq += 1
+                units.append((lpn, tuple(merged), ((lpn, self._write_seq),)))
+
+            # Allocate, stage and (asynchronously) program each unit.
+            is_ckpt = cause.startswith("ckpt")
+            map_update_ns = self._map_update_ns
+            for lpn, unit_tags, oob in units:
+                if self.gc.needs_urgent_collection():
+                    yield from self.gc.ensure_free_blocks(blame=blame)
+                if blame is not None:
+                    t0, busy0 = sim.now, self.array.ckpt_busy_ns()
+                yield self._write_buffer.acquire()
+                if blame is not None:
+                    # Waiting for a staging slot = backpressure from
+                    # in-flight page programs (checkpoint-coincident wait
+                    # splits out).
+                    self._charge_flash_wait(blame, "flash_program", t0, busy0)
+                upas, programs = self.allocator.allocate(
+                    self._qualify(stream, lpn), 1)
+                upa = upas[0]
+                self._buffer_held.add(upa)
+                self._staged_tags[upa] = unit_tags
+                self._staged_oob[upa] = oob
+                self.mapping.map(lpn, upa)
+                self._note_dirty_entries(1)
+                for program in programs:
+                    self._launch_program(program, ckpt=is_ckpt)
+                yield map_update_ns
+                if blame is not None:
+                    add_ns(blame, "ftl_map", map_update_ns)
+            count = len(units)
+            counter = self._unit_write_counters.get(cause)
+            if counter is None:
+                counter = self.stats.counter(f"ftl.units.write.{cause}")
+                self._unit_write_counters[cause] = counter
+            counter.add(count, num_bytes=count * self._mapping_unit)
+            if rmw_units:
+                counter = self._unit_rmw_counters.get(cause)
+                if counter is None:
+                    counter = self.stats.counter(f"ftl.units.rmw.{cause}")
+                    self._unit_rmw_counters[cause] = counter
+                counter.add(rmw_units, num_bytes=rmw_units * self._mapping_unit)
         finally:
-            self._release_lpns(locked)
+            for lpn in lpns:
+                queue = locks[lpn]
+                if queue:
+                    queue.popleft().succeed()  # hand the lock over
+                else:
+                    del locks[lpn]
             if span is not None:
                 tracer.end(span)
-
-    def _locked_write(self, lba: int, nsectors: int,
-                      tags: Optional[Sequence[SectorTag]],
-                      stream: str, cause: str,
-                      blame: Optional[Dict[str, int]] = None
-                      ) -> Generator[Any, Any, None]:
-        span = self.lpn_span(lba, nsectors)
-        t0 = self.sim.now if blame is not None else 0
-        yield from self.touch_map(span)
-        if blame is not None:
-            add_ns(blame, "ftl_map", self.sim.now - t0)
-
-        plan: List[Tuple[int, UnitTags, bool]] = []  # (lpn, unit tags, is_rmw)
-        rmw_pages: List[int] = []
-        staged_old: Dict[int, UnitTags] = {}  # snapshot against de-staging races
-        for lpn in span:
-            unit_first_lba = lpn * self.sectors_per_unit
-            start = max(lba, unit_first_lba)
-            end = min(lba + nsectors, unit_first_lba + self.sectors_per_unit)
-            full_cover = (end - start) == self.sectors_per_unit
-            old_upa = self.mapping.lookup(lpn)
-            is_rmw = (not full_cover) and old_upa is not None
-            if is_rmw:
-                staged = self._staged_tags.get(old_upa)
-                if staged is not None:
-                    staged_old[lpn] = staged
-                else:
-                    rmw_pages.append(self.mapping.page_of_unit(old_upa))
-            plan.append((lpn, (start, end), is_rmw))
-
-        # Read-modify-write: fetch every old page once, in parallel.
-        old_pages: Dict[int, Any] = {}
-        if rmw_pages:
-            if blame is not None:
-                t0, busy0 = self.sim.now, self.array.ckpt_busy_ns()
-            yield from self._read_pages_parallel(sorted(set(rmw_pages)), old_pages)
-            if blame is not None:
-                self._charge_flash_wait(blame, "flash_read", t0, busy0)
-            self.stats.counter("ftl.rmw_reads").add(len(set(rmw_pages)))
-
-        unit_tags_list: List[UnitTags] = []
-        oob_list: List[Any] = []
-        rmw_units = 0
-        for lpn, (start, end), is_rmw in plan:
-            unit_first_lba = lpn * self.sectors_per_unit
-            merged: List[SectorTag] = [None] * self.sectors_per_unit
-            if is_rmw:
-                rmw_units += 1
-                old = staged_old.get(lpn)
-                if old is None:
-                    old = self._old_unit_tags(lpn, old_pages)
-                if old is not None:
-                    merged = list(old)
-            for sector in range(start, end):
-                tag = tags[sector - lba] if tags is not None else None
-                merged[sector - unit_first_lba] = tag
-            self._write_seq += 1
-            unit_tags_list.append(tuple(merged))
-            oob_list.append(((lpn, self._write_seq),))
-
-        lpns = [entry[0] for entry in plan]
-        yield from self._write_units(lpns, unit_tags_list, oob_list,
-                                     stream=stream, cause=cause, blame=blame)
-        if rmw_units:
-            counter = self._unit_rmw_counters.get(cause)
-            if counter is None:
-                counter = self.stats.counter(f"ftl.units.rmw.{cause}")
-                self._unit_rmw_counters[cause] = counter
-            counter.add(rmw_units, num_bytes=rmw_units * self._mapping_unit)
 
     def _old_unit_tags(self, lpn: int, old_pages: Dict[int, Any]) -> Optional[UnitTags]:
         upa = self.mapping.lookup(lpn)
@@ -456,42 +480,6 @@ class Ftl:
         overlap = min(window, self.array.ckpt_busy_ns() - busy0)
         add_ns(blame, "ckpt_interference", overlap)
         add_ns(blame, category, window - overlap)
-
-    def _write_units(self, lpns: Sequence[int], unit_tags: Sequence[UnitTags],
-                     oobs: Sequence[Any], stream: str, cause: str,
-                     blame: Optional[Dict[str, int]] = None
-                     ) -> Generator[Any, Any, None]:
-        """Allocate, stage and (asynchronously) program the given units."""
-        is_ckpt = cause.startswith("ckpt")
-        for index, lpn in enumerate(lpns):
-            if self.gc.needs_urgent_collection():
-                yield from self.gc.ensure_free_blocks(blame=blame)
-            if blame is not None:
-                t0, busy0 = self.sim.now, self.array.ckpt_busy_ns()
-            yield self._write_buffer.acquire()
-            if blame is not None:
-                # Waiting for a staging slot = backpressure from in-flight
-                # page programs (checkpoint-coincident wait splits out).
-                self._charge_flash_wait(blame, "flash_program", t0, busy0)
-            upas, programs = self.allocator.allocate(
-                self._qualify(stream, lpn), 1)
-            upa = upas[0]
-            self._buffer_held.add(upa)
-            self._staged_tags[upa] = unit_tags[index]
-            self._staged_oob[upa] = oobs[index]
-            self.mapping.map(lpn, upa)
-            self._note_dirty_entries(1)
-            for program in programs:
-                self._launch_program(program, ckpt=is_ckpt)
-            yield self._map_update_ns
-            if blame is not None:
-                add_ns(blame, "ftl_map", self._map_update_ns)
-        count = len(lpns)
-        counter = self._unit_write_counters.get(cause)
-        if counter is None:
-            counter = self.stats.counter(f"ftl.units.write.{cause}")
-            self._unit_write_counters[cause] = counter
-        counter.add(count, num_bytes=count * self._mapping_unit)
 
     def _launch_program(self, program: PageProgram, attempt: int = 0,
                         ckpt: bool = False) -> None:

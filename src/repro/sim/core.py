@@ -6,7 +6,8 @@ binary heap of ``(when, seq, fn, arg)`` entries for callbacks due later,
 and a same-instant FIFO of ``(fn, arg)`` entries for callbacks due now
 (event wake-ups, process starts, interrupts, ``schedule(0, ...)``).
 Generator-based processes (see :mod:`repro.sim.process`) are built on top of
-:class:`Event`.
+:class:`Event`; :data:`GRANTED` stands in for an Event that would be
+granted at once.
 
 Determinism: ties in time are broken by a monotonically increasing sequence
 number, so two runs with the same seeds produce identical event orderings.
@@ -405,6 +406,27 @@ class Event:
         self._defused = True
         self.sim._consume_failure(self)
         return self
+
+
+class _Granted:
+    """Type of :data:`GRANTED`: an already-succeeded, valueless wait."""
+
+    __slots__ = ()
+    triggered = True
+    value = None
+
+    def __repr__(self) -> str:
+        return "GRANTED"
+
+
+GRANTED = _Granted()
+"""What :meth:`Resource.acquire` returns for an uncontended grant.
+
+A process that yields it resumes exactly where a yielded
+already-succeeded :class:`Event` would — appended to the same-instant
+FIFO, receiving ``None`` — but no Event is built.  Only a process may
+wait on it: it has no callbacks, so it cannot join ``all_of``/``any_of``.
+"""
 
 
 def _absorb_late_failure(done: Event, late: Event) -> None:

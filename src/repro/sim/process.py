@@ -5,6 +5,7 @@ generator you may::
 
     yield 500            # sleep 500 ns
     value = yield event  # wait for an Event; receives event.value
+    yield resource.acquire()  # an Event, or GRANTED when a slot is free
     result = yield proc  # join another Process; receives its return value
 
 Processes are themselves :class:`~repro.sim.core.Event` subclasses that
@@ -15,10 +16,10 @@ re-raised out of :meth:`Simulator.run` unless the process is ``defused``.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional, Union
+from typing import Any, Generator, Optional, Tuple, Union
 
 from repro.common.errors import PowerLossError, SimulationError
-from repro.sim.core import Event, Simulator
+from repro.sim.core import GRANTED, Event, Simulator
 
 ProcessGenerator = Generator[Union[int, Event], Any, Any]
 
@@ -42,7 +43,9 @@ class Process(Event):
         self._generator = generator
         self.name = name
         self.defused = False
-        self._waiting_on: Optional[Event] = None
+        self._waiting_on: Union[Event, Tuple["Process"], None] = None
+        """The Event being waited on, or the 1-tuple token of a pending
+        :data:`GRANTED` wake-up."""
         self._sleep_entry: Any = None
         sim._live_processes[id(self)] = self
         sim._push(0, Process._resume, self)
@@ -98,7 +101,10 @@ class Process(Event):
         abandoned event later *fails* the exception is considered consumed
         and never reaches ``strict_failures``.  (An event that already
         resolved has handed its callbacks to the scheduler; the
-        stale-wake-up guard in :meth:`_on_event` covers that window.)
+        stale-wake-up guard in :meth:`_on_event` covers that window.  A
+        :data:`GRANTED` wake-up is in that state from the start: its
+        queued entry stays and fires as a no-op step, exactly like the
+        wake-up of an Event that was granted at once.)
         """
         if self._sleep_entry is not None:
             self.sim._unschedule(self._sleep_entry)
@@ -106,7 +112,7 @@ class Process(Event):
         waiting = self._waiting_on
         if waiting is not None:
             self._waiting_on = None
-            if not waiting.triggered:
+            if isinstance(waiting, Event) and not waiting.triggered:
                 try:
                     waiting._callbacks.remove(self._on_event)
                 except ValueError:
@@ -129,6 +135,15 @@ class Process(Event):
         except BaseException as raised:  # noqa: BLE001 - deliberate fail-path
             self._handle_failure(raised)
             return
+        if target is GRANTED:
+            # Same FIFO slot as add_callback() on a resolved Event; the
+            # token tells this wake-up apart from a stale one.
+            token = (self,)
+            self._waiting_on = token
+            sim = self.sim
+            if not sim._crashed:
+                sim._ready.append((_on_grant, token))
+            return
         if isinstance(target, int):
             if target < 0:
                 self._handle_failure(
@@ -142,7 +157,7 @@ class Process(Event):
             return
         self._handle_failure(SimulationError(
             f"process {self.name} yielded {type(target).__name__}; "
-            "expected int delay or Event"))
+            "expected int delay, Event or GRANTED"))
 
     def _throw(self, exc: BaseException) -> None:
         self._resume(None, exc)
@@ -168,6 +183,15 @@ class Process(Event):
         self.sim._consume_failure(self)
         if not self.defused:
             raise exc
+
+
+def _on_grant(token: Tuple[Process]) -> None:
+    """Queue-entry function of a :data:`GRANTED` wake-up."""
+    process = token[0]
+    if process._waiting_on is not token:
+        return  # stale wake-up after an interrupt
+    process._waiting_on = None
+    process._resume()
 
 
 def spawn(sim: Simulator, generator: ProcessGenerator, name: str = "process") -> Process:

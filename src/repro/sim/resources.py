@@ -2,16 +2,18 @@
 
 These model contention points in the system: NVMe submission-queue slots,
 flash channels and dies, the storage engine's worker pool, and so on.
-All grant orderings are FIFO, which keeps runs deterministic.
+All grant orderings are FIFO, which keeps runs deterministic.  An
+uncontended :meth:`Resource.acquire` builds nothing: it returns the
+shared :data:`~repro.sim.core.GRANTED` marker.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Deque, Optional, Union
 
 from repro.common.errors import SimulationError
-from repro.sim.core import Event, Simulator
+from repro.sim.core import GRANTED, Event, Simulator, _Granted
 
 
 class Resource:
@@ -19,7 +21,7 @@ class Resource:
 
     Usage inside a process::
 
-        yield resource.acquire()
+        yield resource.acquire()   # GRANTED when free, else a pending Event
         try:
             ...critical section...
         finally:
@@ -45,14 +47,21 @@ class Resource:
         """Number of acquirers still waiting."""
         return len(self._waiters)
 
-    def acquire(self) -> Event:
-        """Request one slot; the returned event succeeds when granted."""
-        event = self.sim.event()
+    def acquire(self) -> Union[Event, _Granted]:
+        """Request one slot; yield the result from a process.
+
+        A free slot is taken at once and the shared :data:`GRANTED`
+        marker is returned, so an uncontended grant allocates nothing.
+        Otherwise the caller queues behind earlier acquirers and gets a
+        pending Event that succeeds when :meth:`release` hands it the
+        slot.  Either way the yielding process resumes in the same order
+        as if it had waited on an Event.
+        """
         if self._in_use < self.capacity and not self._waiters:
             self._in_use += 1
-            event.succeed()
-        else:
-            self._waiters.append(event)
+            return GRANTED
+        event = Event(self.sim)
+        self._waiters.append(event)
         return event
 
     def release(self) -> None:

@@ -16,21 +16,31 @@ overlapping entries.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError
 
 
-@dataclass
 class CoalescedUnit:
-    """One mapping unit being assembled in device DRAM."""
+    """One mapping unit being assembled in device DRAM.
 
-    lpn: int
-    tags: List[Any]
-    covered: List[bool]
-    cause: str
-    stream: str
+    A plain ``__slots__`` class (not a dataclass): in checkin mode one is
+    built per journal sector, so construction cost sits on the hot path.
+    """
+
+    __slots__ = ("lpn", "tags", "covered", "cause", "stream")
+
+    def __init__(self, lpn: int, tags: List[Any], covered: List[bool],
+                 cause: str, stream: str) -> None:
+        self.lpn = lpn
+        self.tags = tags
+        self.covered = covered
+        self.cause = cause
+        self.stream = stream
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (f"CoalescedUnit(lpn={self.lpn}, covered={self.covered}, "
+                f"cause={self.cause!r}, stream={self.stream!r})")
 
     @property
     def full(self) -> bool:
@@ -63,15 +73,12 @@ class WriteCoalescer:
             raise ConfigError("capacity must be >= 0")
         self.sectors_per_unit = sectors_per_unit
         self.capacity_units = capacity_units
+        self.enabled = capacity_units > 0
+        """False for a zero-capacity (write-through) configuration."""
         self._entries: "OrderedDict[int, CoalescedUnit]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    @property
-    def enabled(self) -> bool:
-        """False for a zero-capacity (write-through) configuration."""
-        return self.capacity_units > 0
 
     # ------------------------------------------------------------------
     def merge(self, lba: int, nsectors: int, tags: Optional[Sequence[Any]],

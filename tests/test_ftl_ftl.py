@@ -193,6 +193,33 @@ class TestReadModifyWrite:
         assert ftl.stats.bytes("ftl.units.write.host") == 8 * 4096
 
 
+class TestLpnLocks:
+    """Overlapping writers of one LPN take its lock in FIFO order."""
+
+    def test_overlapping_writers_serialise_fifo_and_leave_no_lock(self):
+        sim, ftl = make_ftl(mapping_unit=4096)
+        finished = []
+
+        def writer(name, sector):
+            yield from ftl.write(sector, 1, tags=[name])
+            finished.append((name, sim.now))
+
+        for sector, name in enumerate("abc"):
+            spawn(sim, writer(name, sector))
+        sim.step()  # a starts and takes the lock of LPN 0
+        sim.step()  # b queues behind it
+        sim.step()  # c queues behind b
+        assert list(ftl._lpn_locks) == [0]
+        assert len(ftl._lpn_locks[0]) == 2
+        sim.run()
+        assert [name for name, _at in finished] == ["a", "b", "c"]
+        assert finished[0][1] < finished[1][1] < finished[2][1]
+        assert ftl._lpn_locks == {}
+        # Each read-modify-write merged onto its predecessor's unit.
+        tags = run(sim, ftl.read(0, 8))
+        assert tags[:3] == ["a", "b", "c"]
+
+
 class TestRemap:
     def test_remap_no_flash_ops(self):
         sim, ftl = make_ftl(mapping_unit=512)

@@ -12,8 +12,10 @@ pin the order itself:
   digest of its ``(now, pid, step)`` firing log is pinned;
 * explicit unit tests fix the same-instant rules: a heap entry due at
   ``now`` fires before a zero-delay callback scheduled after it, an
-  interrupted sleep leaves no trace in ``step()``/``peek()``/``now``, and
-  a power cut discards callbacks already queued for the current instant.
+  interrupted sleep leaves no trace in ``step()``/``peek()``/``now``, an
+  interrupted immediate grant leaves exactly the stale step an
+  already-succeeded Event leaves, and a power cut discards callbacks
+  already queued for the current instant.
 """
 
 import hashlib
@@ -22,7 +24,8 @@ import random
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.sim import Interrupt, Resource, Simulator, all_of, any_of, spawn
+from repro.sim import (GRANTED, Interrupt, Resource, Simulator, all_of,
+                       any_of, spawn)
 
 # sha256 (first 16 hex digits) of the firing logs of seeds 0..39.  An
 # edit that changes this changed the kernel's firing order.
@@ -337,6 +340,57 @@ class TestInterruptedSleep:
         sim.run(until=100)
         assert sim.now == 100
         assert sim.peek() is None
+
+
+class TestInterruptedGrant:
+    """``GRANTED`` must fire exactly like an already-succeeded Event."""
+
+    @staticmethod
+    def _interrupted_between_grant_and_resume(grant):
+        sim = Simulator()
+        log = []
+        res = Resource(sim, 1)
+
+        def holder():
+            try:
+                value = yield grant(sim, res)
+                log.append(("granted", value, sim.now))
+            except Interrupt as interrupt:
+                log.append(("interrupted", interrupt.cause, sim.now))
+            yield 5
+            log.append(("done", sim.now))
+
+        def interrupter():
+            yield 0  # let the holder start and queue its grant wake-up
+            proc.interrupt("cut in")
+            log.append(("interrupter", sim.now))
+
+        spawn(sim, interrupter(), name="interrupter")
+        proc = spawn(sim, holder(), name="holder")
+        steps = 0
+        while sim.step():
+            steps += 1
+            log.append(("peek", sim.peek()))
+        return steps, log
+
+    def test_same_steps_and_log_as_a_succeeded_event(self):
+        def granted(_sim, res):
+            grant = res.acquire()
+            assert grant is GRANTED
+            return grant
+
+        def succeeded_event(sim, _res):
+            return sim.event().succeed()
+
+        steps, log = self._interrupted_between_grant_and_resume(granted)
+        assert (steps, log) == \
+            self._interrupted_between_grant_and_resume(succeeded_event)
+        # interrupter start, holder start, interrupter wake-up, the
+        # holder's stale grant wake-up (a counted no-op), interrupt
+        # delivery, holder's 5 ns wake-up.
+        assert steps == 6
+        assert [entry for entry in log if entry[0] != "peek"] == [
+            ("interrupter", 0), ("interrupted", "cut in", 0), ("done", 5)]
 
 
 class TestPowerCutDiscardsReadyQueue:

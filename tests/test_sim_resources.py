@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.sim import Lock, Resource, Simulator, Store, spawn
+from repro.sim import GRANTED, Lock, Resource, Simulator, Store, spawn
 
 
 class TestResource:
@@ -17,6 +17,46 @@ class TestResource:
         assert res.acquire().triggered
         assert res.acquire().triggered
         assert res.in_use == 2
+
+    def test_free_slot_returns_granted_marker(self):
+        sim = Simulator()
+        res = Resource(sim, 2)
+        assert res.acquire() is GRANTED
+        assert res.acquire() is GRANTED
+        assert GRANTED.triggered and GRANTED.value is None
+        assert res.in_use == 2 and res.queue_length == 0
+
+    def test_full_resource_returns_pending_event(self):
+        sim = Simulator()
+        res = Resource(sim, 1)
+        assert res.acquire() is GRANTED
+        waiter = res.acquire()
+        assert waiter is not GRANTED and not waiter.triggered
+        res.release()
+        assert waiter.triggered and res.in_use == 1
+
+    def test_queued_waiters_are_granted_before_new_acquirers(self):
+        sim = Simulator()
+        res = Resource(sim, 2)
+        order = []
+
+        def worker(name, hold):
+            grant = res.acquire()
+            order.append((name, grant is GRANTED))
+            yield grant
+            order.append((name, "in", sim.now))
+            yield hold
+            res.release()
+
+        for name in "abcde":
+            spawn(sim, worker(name, 10))
+        sim.run()
+        assert order[:5] == [("a", True), ("b", True), ("c", False),
+                             ("d", False), ("e", False)]
+        entered = [entry[0] for entry in order[5:]]
+        assert entered == list("abcde")
+        assert [entry[2] for entry in order[5:]] == [0, 0, 10, 10, 20]
+        assert res.in_use == 0 and res.queue_length == 0
 
     def test_waits_when_full(self):
         sim = Simulator()
