@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import ExitStack
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.analysis import format_table
@@ -27,9 +28,9 @@ from repro.experiments.registry import (
     run_experiment,
 )
 from repro.obs import (
+    BLAME,
     CKPT_FAMILY,
     blame_table,
-    clear_blame,
     exemplar_table,
     tail_table,
     validate_blame_file,
@@ -37,11 +38,8 @@ from repro.obs import (
 )
 from repro.system import SystemConfig, TenantSpec, run_config
 from repro.telemetry import (
+    TELEMETRY,
     TelemetryConfig,
-    clear_samplers,
-    collected_samplers,
-    disable_telemetry,
-    enable_telemetry,
     events_table,
     health_table,
     summary_table,
@@ -49,12 +47,9 @@ from repro.telemetry import (
     write_telemetry_jsonl,
 )
 from repro.trace import (
+    TRACE,
     Tracer,
-    clear_runs,
-    collected_runs,
     component_table,
-    disable_tracing,
-    enable_tracing,
     phase_table,
     queue_split_table,
     summarize,
@@ -87,7 +82,7 @@ def _runs_phase_table(runs: Sequence[Tuple[str, Tracer]]) -> str:
 
 def _emit_trace(out: Optional[str]) -> None:
     """Print the trace overview and optionally export the Chrome JSON."""
-    runs = collected_runs()
+    runs = TRACE.collected()
     if not runs:
         print("[trace: no traced runs collected]", file=sys.stderr)
         return
@@ -99,12 +94,12 @@ def _emit_trace(out: Optional[str]) -> None:
         status = "valid" if not problems else f"{len(problems)} PROBLEMS"
         print(f"\n[trace: {count} events from {len(runs)} run(s) -> {out} "
               f"({status})]")
-    clear_runs()
+    TRACE.clear()
 
 
 def _emit_telemetry(out: Optional[str]) -> None:
     """Print sampler overviews; optionally dump the JSONL file(s)."""
-    samplers = collected_samplers()
+    samplers = TELEMETRY.collected()
     if not samplers:
         print("[telemetry: no sampled runs collected]", file=sys.stderr)
         return
@@ -126,7 +121,7 @@ def _emit_telemetry(out: Optional[str]) -> None:
             status = "valid" if not problems else \
                 f"{len(problems)} PROBLEMS"
             print(f"[telemetry: {count} records -> {path} ({status})]")
-    clear_samplers()
+    TELEMETRY.clear()
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -147,21 +142,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
               "is required", file=sys.stderr)
         return 2
     scale = FULL if args.scale == "full" else QUICK
-    if args.trace:
-        clear_runs()
-        enable_tracing()
-    if args.telemetry:
-        clear_samplers()
-        enable_telemetry(TelemetryConfig(
-            interval_ns=parse_duration_ns(args.telemetry_interval)))
     started = time.time()
-    try:
-        result = run_experiment(args.experiment, scale)
-    finally:
+    with ExitStack() as planes:
         if args.trace:
-            disable_tracing()
+            planes.enter_context(TRACE.armed())
         if args.telemetry:
-            disable_telemetry()
+            planes.enter_context(TELEMETRY.armed(TelemetryConfig(
+                interval_ns=parse_duration_ns(args.telemetry_interval))))
+        result = run_experiment(args.experiment, scale)
     elapsed = time.time() - started
     print(result if isinstance(result, str) else result.table())
     for extra in ("comparison_table", "lifetime_table"):
@@ -286,13 +274,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
               + ("ok" if not problems else f"{len(problems)} problems"))
         return 1 if problems else 0
     scale = FULL if args.scale == "full" else QUICK
-    clear_runs()
-    enable_tracing()
     started = time.time()
-    try:
+    with TRACE.armed():
         run_experiment(args.experiment, scale)
-    finally:
-        disable_tracing()
     elapsed = time.time() - started
     _emit_trace(args.out)
     print(f"\n[{args.experiment} traced at {scale.name} scale: "
@@ -309,7 +293,7 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
         print(f"{args.validate_file}: "
               + ("ok" if not problems else f"{len(problems)} problems"))
         return 1 if problems else 0
-    clear_samplers()
+    TELEMETRY.clear()
     kwargs = dict(
         mode=args.mode, workload=args.workload, threads=args.threads,
         total_queries=args.queries, verify_reads=False,
@@ -341,7 +325,7 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
         exit_code = 1 if problems else 0
     print(f"[{sampler.samples} samples / {len(sampler.series)} series / "
           f"{len(sampler.events)} events; wall {elapsed:.1f}s]")
-    clear_samplers()
+    TELEMETRY.clear()
     return exit_code
 
 
@@ -361,7 +345,7 @@ def _cmd_blame(args: argparse.Namespace) -> int:
         print(f"{args.validate_file}: "
               + ("ok" if not problems else f"{len(problems)} problems"))
         return 1 if problems else 0
-    clear_blame()
+    BLAME.clear()
     kwargs = dict(
         mode=args.mode, workload=args.workload, threads=args.threads,
         total_queries=args.queries, verify_reads=False, blame=True,
@@ -407,7 +391,7 @@ def _cmd_blame(args: argparse.Namespace) -> int:
             exit_code = 1
     print(f"[{report.requests} blamed requests / "
           f"{result.checkpoint_count} checkpoints; wall {elapsed:.1f}s]")
-    clear_blame()
+    BLAME.clear()
     return exit_code
 
 
@@ -445,9 +429,9 @@ def _cmd_incident(args: argparse.Namespace) -> int:
         print(f"[dominant blame stage: {stage or '-'}]")
         return 0
 
-    clear_blame()
-    clear_samplers()
-    clear_runs()
+    BLAME.clear()
+    TELEMETRY.clear()
+    TRACE.clear()
     started = time.time()
 
     if args.kill_at is not None:
@@ -473,7 +457,7 @@ def _cmd_incident(args: argparse.Namespace) -> int:
         if problems:
             exit_code = 1
     if args.trace_out:
-        count = write_chrome_trace(args.trace_out, collected_runs())
+        count = write_chrome_trace(args.trace_out, TRACE.collected())
         document, junk = read_json(args.trace_out)
         problems = junk + resolve_against_trace(records, document)
         for problem in problems:
@@ -493,9 +477,9 @@ def _cmd_incident(args: argparse.Namespace) -> int:
     flights = header.get("flight_events", 0)
     print(f"[{flights} flight events / {header.get('triggers', 0)} "
           f"trigger(s); wall {elapsed:.1f}s]")
-    clear_blame()
-    clear_samplers()
-    clear_runs()
+    BLAME.clear()
+    TELEMETRY.clear()
+    TRACE.clear()
     return exit_code
 
 
@@ -563,9 +547,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                           threads=args.threads, total_queries=args.queries,
                           distribution=args.distribution,
                           verify_reads=False, trace=args.trace, blame=True)
-    clear_blame()
+    BLAME.clear()
     if args.trace:
-        clear_runs()
+        TRACE.clear()
     started = time.time()
     result = run_config(config)
     elapsed = time.time() - started
@@ -582,9 +566,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print()
             print(table(result.trace_summary))
         if args.out:
-            count = write_chrome_trace(args.out, collected_runs())
+            count = write_chrome_trace(args.out, TRACE.collected())
             print(f"\n[trace: {count} events -> {args.out}]")
-        clear_runs()
+        TRACE.clear()
     if not args.no_artifact:
         from repro.analysis.benchfile import (
             bench_artifact,
@@ -618,7 +602,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                                      "knee_sustainable_ops": knee_ops,
                                      "rto_warm_replica_ns": rto_ns}))
         print(f"[bench artifact -> {path}]")
-    clear_blame()
+    BLAME.clear()
     print(f"\n[wall: {elapsed:.1f}s, simulated: "
           f"{metrics.duration_ns / 1e9:.3f}s, "
           f"{result.ops_per_sec:,.0f} ops/s]")

@@ -55,12 +55,10 @@ class InStorageCheckpointEngine:
         result = yield from self.processor.process(entries)
         if span is not None:
             tracer.end(span, remapped=result[0], copied=result[1])
-        recorder = self.sim.flightrec
-        if recorder is not None:
-            recorder.record(self.sim.now, "isce", "cow_batch",
-                            span.span_id if span is not None else None,
-                            {"entries": len(entries),
-                             "remapped": result[0], "copied": result[1]})
+        obs = self.sim.obs
+        if obs is not None:
+            obs.emit("isce", "cow_batch", span, entries=len(entries),
+                     remapped=result[0], copied=result[1])
         return result
 
     def checkpoint_complete(self) -> Generator[Any, Any, None]:

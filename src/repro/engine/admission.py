@@ -175,13 +175,11 @@ class AdmissionController:
         else:
             reason = SHED_WAITING_ROOM_FULL
         self.shed[reason] += 1
-        recorder = self.sim.flightrec
-        if recorder is not None:
-            recorder.record(self.sim.now, "admission", "shed", None,
-                            {"tenant": self.label, "reason": reason,
-                             "is_read": is_read,
-                             "inflight": self.inflight,
-                             "waiting": len(self._waiting)})
+        obs = self.sim.obs
+        if obs is not None:
+            obs.emit("admission", "shed", tenant=self.label, reason=reason,
+                     is_read=is_read, inflight=self.inflight,
+                     waiting=len(self._waiting))
         return AdmissionTicket(reason)
 
     def release(self) -> None:

@@ -112,26 +112,20 @@ class CheckpointStrategy(abc.ABC):
 
     def _phase(self, parent: Any, name: str, **attrs: Any) -> Any:
         """Open one named checkpoint-phase span (None when untraced)."""
-        recorder = self.sim.flightrec
-        if parent is None:
-            if recorder is not None:
-                recorder.record(self.sim.now, "ckpt", "phase_begin", None,
-                                {"phase": name})
-            return None
-        span = self.sim.tracer.begin("ckpt", name, parent=parent, **attrs)
-        if recorder is not None:
-            recorder.record(self.sim.now, "ckpt", "phase_begin",
-                            span.span_id, {"phase": name})
+        span = None if parent is None else \
+            self.sim.tracer.begin("ckpt", name, parent=parent, **attrs)
+        obs = self.sim.obs
+        if obs is not None:
+            obs.emit("ckpt", "phase_begin", span, phase=name)
         return span
 
     def _phase_end(self, span: Any, **attrs: Any) -> None:
         """Close a phase span opened by :meth:`_phase`."""
         if span is not None:
             self.sim.tracer.end(span, **attrs)
-            recorder = self.sim.flightrec
-            if recorder is not None:
-                recorder.record(self.sim.now, "ckpt", "phase_end",
-                                span.span_id, {"phase": span.name})
+            obs = self.sim.obs
+            if obs is not None:
+                obs.emit("ckpt", "phase_end", span, phase=span.name)
 
     OFFLOAD_PROGRAM_SECTORS = 128
     """Size of the offload execution code image (64 KiB)."""

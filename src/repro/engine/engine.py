@@ -467,17 +467,9 @@ class StorageEngine:
         # reclaimed — propagate so a space-stalled committer fails fast.
         self.journal.enter_degraded(self.degraded_reason)
         self.stats.counter("engine.degraded").add(1)
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            tracer.end(tracer.begin("engine", "degraded",
-                                    reason=self.degraded_reason))
-        recorder = self.sim.flightrec
-        if recorder is not None:
-            recorder.record(self.sim.now, "engine", "degraded", None,
-                            {"reason": self.degraded_reason})
-            recorder.trip(self.sim.now, "degraded_entry",
-                          {"layer": "engine",
-                           "reason": self.degraded_reason})
+        obs = self.sim.obs
+        if obs is not None:
+            obs.emit("engine", "degraded", reason=self.degraded_reason)
 
     # ------------------------------------------------------------------
     # checkpointing
@@ -513,13 +505,10 @@ class StorageEngine:
         root = tracer.begin("ckpt", "checkpoint",
                             strategy=self.strategy.name) \
             if tracer.enabled else None
-        recorder = self.sim.flightrec
-        root_id = root.span_id if root is not None else None
-        if recorder is not None:
-            recorder.record(self.sim.now, "ckpt", "begin", root_id,
-                            {"strategy": self.strategy.name,
-                             "gated":
-                             self.config.lock_queries_during_checkpoint})
+        obs = self.sim.obs
+        if obs is not None:
+            obs.emit("ckpt", "begin", root, strategy=self.strategy.name,
+                     gated=self.config.lock_queries_during_checkpoint)
         try:
             scan = tracer.begin("ckpt", "journal_scan", parent=root) \
                 if root is not None else None
@@ -533,11 +522,9 @@ class StorageEngine:
                 # JMT still resolves reads to the (untrimmed) journal.
                 if root is not None:
                     tracer.end(root, aborted=True)
-                    root = None
-                if recorder is not None:
-                    recorder.record(self.sim.now, "ckpt", "aborted",
-                                    root_id, {"strategy":
-                                              self.strategy.name})
+                if obs is not None:
+                    obs.emit("ckpt", "aborted", root,
+                             strategy=self.strategy.name)
                 return None
             self.journal.release_frozen()
             self.checkpoint_reports.append(report)
@@ -552,11 +539,10 @@ class StorageEngine:
                            copied_units=report.copied_units,
                            qd_avg=round(qd_avg, 3),
                            qd_window_ms=round(window_ns / 1e6, 3))
-                root = None
-            if recorder is not None:
-                recorder.record(self.sim.now, "ckpt", "end", root_id,
-                                {"entries": report.entries_checkpointed,
-                                 "duration_ns": report.duration_ns})
+            if obs is not None:
+                obs.emit("ckpt", "end", root,
+                         entries=report.entries_checkpointed,
+                         duration_ns=report.duration_ns)
             for hook in self.on_checkpoint:
                 hook(self, report)
             return report

@@ -43,12 +43,12 @@ def power_cut(system: KvSystem, rng: SeededRng) -> CrashReport:
     recovery scan — a real crash would lose it too.
     """
     report = CrashReport()
-    recorder = system.sim.flightrec
-    if recorder is not None:
-        # Recorded *before* the cut so the trigger lands in the ring
+    obs = system.sim.obs
+    if obs is not None:
+        # Emitted *before* the cut so the trigger lands in the ring
         # while simulated time is still meaningful; everything after is
         # forensic (zero-time) teardown.
-        recorder.trip(system.sim.now, "crash", {"kind": "power_cut"})
+        obs.emit("fault", "power_cut")
     report.killed_processes = system.sim.power_cut()
     ftl = system.ssd.ftl
     report.torn_pages = ftl.array.power_cut(rng)

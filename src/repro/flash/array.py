@@ -172,13 +172,10 @@ class FlashArray:
                 yield self.timing.read_retry_ns * retries
             if attempt == 0:
                 self.stats.counter("media.read_uecc").add(1)
-                recorder = self.sim.flightrec
-                if recorder is not None:
-                    recorder.record(
-                        self.sim.now, "flash", "read_uecc",
-                        span.span_id if span is not None else None,
-                        {"block": block.block_id, "ppa": ppa,
-                         "retries": retries})
+                obs = self.sim.obs
+                if obs is not None:
+                    obs.emit("flash", "read_uecc", span,
+                             block=block.block_id, ppa=ppa, retries=retries)
                 if span is not None:
                     tracer.end(span, uecc=True)
                     span = None

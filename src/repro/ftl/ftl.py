@@ -890,15 +890,9 @@ class Ftl:
         self.read_only = True
         self.degraded_reason = reason
         self.stats.counter("ftl.degraded").add(1)
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            tracer.end(tracer.begin("ftl", "degraded", reason=reason))
-        recorder = self.sim.flightrec
-        if recorder is not None:
-            recorder.record(self.sim.now, "ftl", "degraded", None,
-                            {"reason": reason})
-            recorder.trip(self.sim.now, "degraded_entry",
-                          {"layer": "ftl", "reason": reason})
+        obs = self.sim.obs
+        if obs is not None:
+            obs.emit("ftl", "degraded", reason=reason)
 
     def retire_block(self, block: int, cause: str) -> None:
         """Move a block to the grown-bad table; it is never reused.
@@ -916,12 +910,11 @@ class Ftl:
         self.allocator.retire(block)
         self.stats.counter("ftl.bad_blocks").add(1)
         self.stats.counter(f"ftl.bad_blocks.{cause}").add(1)
-        recorder = self.sim.flightrec
-        if recorder is not None:
-            recorder.record(self.sim.now, "ftl", "block_retired", None,
-                            {"block": block, "cause": cause,
-                             "grown_bad": len(self.grown_bad),
-                             "budget": self.config.spare_block_budget})
+        obs = self.sim.obs
+        if obs is not None:
+            obs.emit("ftl", "block_retired", block=block, cause=cause,
+                     grown_bad=len(self.grown_bad),
+                     budget=self.config.spare_block_budget)
         if len(self.grown_bad) > self.config.spare_block_budget:
             self.enter_degraded(
                 f"spare blocks exhausted: {len(self.grown_bad)} grown-bad "

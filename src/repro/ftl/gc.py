@@ -100,14 +100,11 @@ class GarbageCollector:
             tracer = self.ftl.sim.tracer
             span = tracer.begin("gc", "collect", block=victim) \
                 if tracer.enabled else None
-            recorder = self.ftl.sim.flightrec
-            if recorder is not None:
-                recorder.record(
-                    self.ftl.sim.now, "gc", "victim_pick",
-                    span.span_id if span is not None else None,
-                    {"block": victim,
-                     "suspect": victim in self.ftl.suspect_blocks,
-                     "free_blocks": self.ftl.allocator.free_block_count})
+            obs = self.ftl.sim.obs
+            if obs is not None:
+                obs.emit("gc", "victim_pick", span, block=victim,
+                         suspect=victim in self.ftl.suspect_blocks,
+                         free_blocks=self.ftl.allocator.free_block_count)
             yield from self._migrate_and_erase(victim)
             if span is not None:
                 tracer.end(span)

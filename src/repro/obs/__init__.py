@@ -1,4 +1,4 @@
-"""``repro.obs`` — per-request latency attribution ("blame").
+"""``repro.obs`` — latency attribution ("blame"), point events, forensics.
 
 Public surface:
 
@@ -9,10 +9,12 @@ Public surface:
   renderers — per-tenant summaries, tail profiles, exemplars;
 * :func:`write_blame_jsonl` / :func:`validate_blame_file` — the
   ``repro-blame/v1`` JSONL export;
-* the **global blame switch** below, mirroring ``repro.trace``: the CLI
-  flips the process-wide switch and every system constructed while it
-  is on builds per-tenant collectors and registers its run report here
-  for one merged export;
+* :data:`BLAME`, the blame plane's switch
+  (:class:`repro.obs.plane.Plane`): every system constructed while it
+  is on builds per-tenant collectors and registers its run report;
+* :data:`repro.obs.events.EVENTS` and :class:`repro.obs.events.Observer`
+  — the declared point-event vocabulary and the one emit path that fans
+  each event out to the trace, the flight ring and incident triggers;
 * the **flight recorder** (:mod:`repro.obs.flightrec`) and the
   ``repro-incident/v1`` forensics bundle (:mod:`repro.obs.incident`):
   the always-on black box every layer appends high-signal events to,
@@ -20,8 +22,6 @@ Public surface:
 """
 
 from __future__ import annotations
-
-from typing import List, Tuple
 
 from repro.obs.blame import (
     CATEGORIES,
@@ -46,10 +46,10 @@ from repro.obs.export import (
     write_blame_jsonl,
 )
 from repro.obs.flightrec import (
+    FLIGHT,
     FlightRecorder,
     disable_flightrec,
     enable_flightrec,
-    flightrec_capacity,
     flightrec_enabled,
 )
 from repro.obs.incident import (
@@ -63,6 +63,7 @@ from repro.obs.incident import (
     validate_incident_file,
     write_incident_jsonl,
 )
+from repro.obs.plane import Plane
 
 __all__ = [
     "CATEGORIES", "CKPT_FAMILY", "RESIDUAL",
@@ -70,60 +71,16 @@ __all__ = [
     "RequestLedger", "TailProfile", "add_ns", "fold_completion",
     "blame_table", "tail_table", "exemplar_table",
     "SCHEMA", "blame_records", "validate_blame_file", "write_blame_jsonl",
-    "enable_blame", "disable_blame", "blame_enabled",
-    "register_blame", "collected_blame", "clear_blame",
-    "FlightRecorder", "enable_flightrec", "disable_flightrec",
-    "flightrec_enabled", "flightrec_capacity",
+    "BLAME", "clear_blame",
+    "FLIGHT", "FlightRecorder", "enable_flightrec", "disable_flightrec",
+    "flightrec_enabled",
     "incident_records", "pair_incident_records", "write_incident_jsonl",
     "validate_incident_file", "load_incident_file",
     "resolve_against_trace", "build_timeline", "dominant_stage",
     "timeline_table",
 ]
 
-_GLOBAL_ENABLED = False
-_RUNS: List[BlameRunReport] = []
-_LABEL_COUNTS: dict = {}
+BLAME = Plane()
+"""The process-wide blame switch and the run reports built under it."""
 
-
-def enable_blame() -> None:
-    """Turn the process-wide blame switch on (CLI ``repro blame``)."""
-    global _GLOBAL_ENABLED
-    _GLOBAL_ENABLED = True
-
-
-def disable_blame() -> None:
-    """Turn the switch off (new systems skip ledger allocation)."""
-    global _GLOBAL_ENABLED
-    _GLOBAL_ENABLED = False
-
-
-def blame_enabled() -> bool:
-    """True while the process-wide switch is on."""
-    return _GLOBAL_ENABLED
-
-
-def register_blame(label: str,
-                   tenants: List[Tuple[str, BlameCollector]]
-                   ) -> BlameRunReport:
-    """Build a run report and register it for export.
-
-    Labels are uniquified (``checkin``, ``checkin#2`` …) so multi-run
-    sweeps export one report per run.
-    """
-    count = _LABEL_COUNTS.get(label, 0) + 1
-    _LABEL_COUNTS[label] = count
-    unique = label if count == 1 else f"{label}#{count}"
-    report = BlameRunReport(label=unique, tenants=tenants)
-    _RUNS.append(report)
-    return report
-
-
-def collected_blame() -> List[BlameRunReport]:
-    """Every report registered since the last :func:`clear_blame`."""
-    return list(_RUNS)
-
-
-def clear_blame() -> None:
-    """Drop collected reports (start of a blamed CLI invocation)."""
-    _RUNS.clear()
-    _LABEL_COUNTS.clear()
+clear_blame = BLAME.clear

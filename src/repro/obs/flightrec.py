@@ -10,9 +10,11 @@ added simulator yields, so enabling it cannot perturb simulated time),
 bounded so a week-long run costs the same memory as a short one.
 
 Wiring follows the house tracer pattern: ``Simulator.flightrec`` is
-``None`` by default and every hook guards with ``if fr is not None`` —
-disabled runs allocate nothing and stay byte-identical (the CI
-incident-smoke job asserts this, like the other observability planes).
+``None`` by default, and layers never call the recorder directly — they
+emit declared point events (:mod:`repro.obs.events`) behind one
+``sim.obs is not None`` guard, so disabled runs allocate nothing and
+stay byte-identical (the CI incident-smoke job asserts this, like the
+other observability planes).
 
 Event tuples are ``(t_ns, layer, kind, span_id, detail)``:
 
@@ -26,12 +28,16 @@ Event tuples are ``(t_ns, layer, kind, span_id, detail)``:
 Incident **triggers** (watchdog error-edges, crash/power-cut, promote,
 degraded entry) are recorded on the same object via :meth:`trip`; the
 incident dumper brackets its evidence window around the first one.
+Which events trip which trigger is declared in
+:data:`repro.obs.events.EVENTS`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from typing import Any, Dict, List, Optional, Tuple
+
+from repro.obs.plane import Plane
 
 FlightEvent = Tuple[int, str, str, Optional[int], Optional[Dict[str, Any]]]
 Trigger = Tuple[int, str, Optional[Dict[str, Any]]]
@@ -95,29 +101,9 @@ class FlightRecorder:
         return len(self.events)
 
 
-# ----------------------------------------------------------------------
-# process-wide switch (mirrors the blame/telemetry switches)
-# ----------------------------------------------------------------------
-_GLOBAL_ENABLED = False
-_GLOBAL_CAPACITY = DEFAULT_CAPACITY
+FLIGHT = Plane()
+"""The process-wide switch that arms a recorder in every new system."""
 
-
-def enable_flightrec(capacity: int = DEFAULT_CAPACITY) -> None:
-    """Arm the recorder for every subsequently-built ``KvSystem``."""
-    global _GLOBAL_ENABLED, _GLOBAL_CAPACITY
-    _GLOBAL_ENABLED = True
-    _GLOBAL_CAPACITY = capacity
-
-
-def disable_flightrec() -> None:
-    global _GLOBAL_ENABLED, _GLOBAL_CAPACITY
-    _GLOBAL_ENABLED = False
-    _GLOBAL_CAPACITY = DEFAULT_CAPACITY
-
-
-def flightrec_enabled() -> bool:
-    return _GLOBAL_ENABLED
-
-
-def flightrec_capacity() -> int:
-    return _GLOBAL_CAPACITY
+enable_flightrec = FLIGHT.enable
+disable_flightrec = FLIGHT.disable
+flightrec_enabled = FLIGHT.enabled

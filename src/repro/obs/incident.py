@@ -93,10 +93,13 @@ def _node_records(system: Any, node: Optional[str],
 
     # Cross-plane links: every span id a flight event carries gets its
     # span resolved into the bundle, so the dump is self-validating even
-    # without the full trace export next to it.
+    # without the full trace export next to it.  Spans still open when
+    # the run ended (a GC pass cut off mid-collect) go in with
+    # ``end_ns: null``.
     wanted = set(recorder.span_ids())
-    if wanted and system.sim.tracer.enabled:
-        for span in system.sim.tracer.spans():
+    tracer = system.sim.tracer
+    if wanted and tracer.enabled:
+        for span in tracer.spans() + tracer.unfinished():
             if span.span_id in wanted:
                 groups["span"].append({
                     "type": "span", "span_id": span.span_id,

@@ -158,15 +158,11 @@ class ReplicaApplier:
         self.frames_refused += 1
         self.engine.stats.counter("repl.frames_refused").add(1)
         self.queue.clear()
-        tracer = self.system.sim.tracer
-        if tracer.enabled:
-            tracer.end(tracer.begin("repl", "refuse", reason=reason[:80]))
-        recorder = self.system.sim.flightrec
-        if recorder is not None:
-            recorder.record(self.system.sim.now, "repl", "refuse", None,
-                            {"reason": reason[:80],
-                             "applied_offset": self.applied_offset,
-                             "frames_refused": self.frames_refused})
+        obs = self.system.sim.obs
+        if obs is not None:
+            obs.emit("repl", "refuse", reason=reason[:80],
+                     applied_offset=self.applied_offset,
+                     frames_refused=self.frames_refused)
         self.feedback("nack", self.applied_offset)
 
     def run(self) -> Generator[Any, Any, None]:
@@ -404,13 +400,12 @@ class ReplicatedPair:
     def kill_primary(self, rng: Any) -> CrashReport:
         """Power-cut the primary at the current event boundary."""
         self._t_kill = self.primary.sim.now
-        recorder = self.replica.sim.flightrec
-        if recorder is not None:
+        obs = self.replica.sim.obs
+        if obs is not None:
             # The primary's recorder dies with it (power_cut records the
             # forensic event there); the surviving node logs the loss.
-            recorder.record(self.replica.sim.now, "repl", "primary_lost",
-                            None, {"t_kill_ns": self._t_kill,
-                                   "ship_lag_ops": self.shipper.ship_lag_ops})
+            obs.emit("repl", "primary_lost", t_kill_ns=self._t_kill,
+                     ship_lag_ops=self.shipper.ship_lag_ops)
         self.shipper.abandon_waiters()
         return power_cut(self.primary, rng)
 
@@ -463,16 +458,12 @@ class ReplicatedPair:
         observed = {record.key: record.version
                     for record in replica.engine.kvmap.records()}
         reads_done = read_back(replica, self.log.fold(acked), "promote")
-        recorder = replica.sim.flightrec
-        if recorder is not None:
-            recorder.record(promoted_ns, "repl", "promote", None,
-                            {"rto_ns": promoted_ns - t_kill,
-                             "rpo_ops": len(self.log) - applied,
-                             "applied_offset": applied,
-                             "acked_offset": acked})
-            recorder.trip(promoted_ns, "promote",
-                          {"rto_ns": promoted_ns - t_kill,
-                           "rpo_ops": len(self.log) - applied})
+        obs = replica.sim.obs
+        if obs is not None:
+            obs.emit("repl", "promote", t_ns=promoted_ns,
+                     rto_ns=promoted_ns - t_kill,
+                     rpo_ops=len(self.log) - applied,
+                     applied_offset=applied, acked_offset=acked)
         return PromoteReport(
             kill_ns=t_kill, promoted_ns=promoted_ns,
             rto_ns=promoted_ns - t_kill,

@@ -171,10 +171,10 @@ class JournalShipper:
             if self._stats is not None:
                 self._stats.counter("repl.batches_shipped").add(
                     1, num_bytes=len(data))
-            tracer = self.sim.tracer
-            if tracer.enabled:
-                tracer.end(tracer.begin("repl", "ship", base=base,
-                                        ops=len(batch), bytes=len(data)))
+            obs = self.sim.obs
+            if obs is not None:
+                obs.emit("repl", "ship", base=base, ops=len(batch),
+                         bytes=len(data))
             self.transmit(data, "ship")
             # Pace successive batches by the batch's own wire time so a
             # slow link backs pressure into the ship queue instead of
@@ -219,12 +219,11 @@ class JournalShipper:
             rewound = self.shipped_offset - offset
             self.reshipped_ops += rewound
             self.shipped_offset = offset
-        recorder = self.sim.flightrec
-        if recorder is not None:
-            recorder.record(self.sim.now, "repl", "nack_rewind", None,
-                            {"offset": offset, "rewound_ops": rewound,
-                             "nacks": self.nacks,
-                             "ship_lag_ops": self.ship_lag_ops})
+        obs = self.sim.obs
+        if obs is not None:
+            obs.emit("repl", "nack_rewind", offset=offset,
+                     rewound_ops=rewound, nacks=self.nacks,
+                     ship_lag_ops=self.ship_lag_ops)
         self._in_flight = 0
         self.notify()
 

@@ -63,8 +63,12 @@ class Simulator:
         real :class:`repro.trace.Tracer` is installed (``--trace``)."""
         self.flightrec: Any = None
         """Black-box flight recorder (:mod:`repro.obs.flightrec`);
-        ``None`` unless armed — every hook guards on it, so disabled
-        runs allocate nothing."""
+        ``None`` unless armed."""
+        self.obs: Any = None
+        """Point-event emit path (:class:`repro.obs.events.Observer`);
+        ``None`` until a tracer is installed or a flight recorder armed —
+        every emitting site guards on it, so unobserved runs allocate
+        nothing."""
 
     @property
     def now(self) -> int:

@@ -309,7 +309,6 @@ class SsdController:
         dispatch is inlined in the retry loop, so a unit write resumes
         through one generator frame fewer.
         """
-        tracer = self.sim.tracer
         blame = command.blame
         op = command.op
         attempts = 0
@@ -354,37 +353,18 @@ class SsdController:
                     add_ns(blame, "media_retry", self.sim.now - t_try)
                 attempts += 1
                 self.stats.counter("cmd.media_retries").add(1)
-                retry_span = None
-                if tracer.enabled:
-                    retry_span = tracer.begin(
-                        "media", "cmd_retry", parent=span,
-                        op=command.op.value, attempt=attempts)
-                    tracer.end(retry_span)
-                recorder = self.sim.flightrec
-                if recorder is not None:
-                    recorder.record(
-                        self.sim.now, "media", "cmd_retry",
-                        retry_span.span_id if retry_span is not None
-                        else None,
-                        {"op": command.op.value, "attempt": attempts})
+                obs = self.sim.obs
+                if obs is not None:
+                    obs.emit("media", "cmd_retry", span,
+                             op=command.op.value, attempt=attempts)
                 if attempts > self.config.media_retry_limit:
                     completion.status = Status.MEDIA_ERROR
                     completion.retries = attempts - 1
                     completion.error = str(exc)
                     self.stats.counter("cmd.media_errors").add(1)
-                    error_span = None
-                    if tracer.enabled:
-                        error_span = tracer.begin(
-                            "media", "cmd_error", parent=span,
-                            op=command.op.value)
-                        tracer.end(error_span)
-                    if recorder is not None:
-                        recorder.record(
-                            self.sim.now, "media", "cmd_error",
-                            error_span.span_id if error_span is not None
-                            else None,
-                            {"op": command.op.value,
-                             "attempts": attempts})
+                    if obs is not None:
+                        obs.emit("media", "cmd_error", span,
+                                 op=command.op.value, attempts=attempts)
                     return
                 if blame is not None:
                     t_try = self.sim.now

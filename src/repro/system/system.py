@@ -30,26 +30,18 @@ from repro.common.rng import SeededRng
 from repro.engine.admission import AdmissionController, AdmissionReport
 from repro.engine.checkpointer import CheckpointReport
 from repro.engine.engine import StorageEngine
-from repro.obs import blame_enabled, register_blame
+from repro.obs import BLAME
 from repro.obs.blame import BlameCollector, BlameRunReport
-from repro.obs.flightrec import (
-    FlightRecorder,
-    flightrec_capacity,
-    flightrec_enabled,
-)
+from repro.obs.events import arm
+from repro.obs.flightrec import FLIGHT, FlightRecorder
 from repro.sim.core import Simulator
 from repro.sim.process import Interrupt, Process, spawn
 from repro.ssd.ssd import Ssd
 from repro.system.config import SystemConfig
 from repro.system.metrics import RunMetrics
-from repro.telemetry import (
-    build_sampler,
-    global_telemetry_config,
-    register_sampler,
-    telemetry_enabled,
-)
+from repro.telemetry import TELEMETRY, build_sampler
 from repro.telemetry.sampler import TelemetryConfig, TelemetrySampler
-from repro.trace import install_tracer, summarize, tracing_enabled
+from repro.trace import TRACE, install_tracer, summarize
 from repro.trace.metrics import TraceSummary
 from repro.workload.arrivals import arrival_times
 from repro.workload.client import (
@@ -170,12 +162,13 @@ class KvSystem:
         config.check_capacity()
         self.config = config
         self.sim = Simulator()
-        if config.trace or tracing_enabled():
+        if config.trace or TRACE.enabled():
             install_tracer(self.sim, label=config.mode)
         self.flightrec: Optional[FlightRecorder] = None
-        if config.flightrec or flightrec_enabled():
-            self.flightrec = FlightRecorder(flightrec_capacity())
+        if config.flightrec or FLIGHT.enabled():
+            self.flightrec = FlightRecorder()
             self.sim.flightrec = self.flightrec
+            arm(self.sim)
         self.ssd = Ssd(self.sim, config.ssd_spec())
         self.metrics = RunMetrics(self.sim, self.ssd.stats)
         self.tenants: List[TenantRuntime] = []
@@ -216,20 +209,23 @@ class KvSystem:
         single-tenant path (kept as an attribute for compatibility)."""
         self.size_model = self.tenants[0].size_model
         self.blame_report: Optional[BlameRunReport] = None
-        if config.blame or blame_enabled():
+        if config.blame or BLAME.enabled():
             for tenant in self.tenants:
                 tenant.blame = BlameCollector(tenant.name)
-            self.blame_report = register_blame(
-                config.mode,
-                [(tenant.name, tenant.blame) for tenant in self.tenants])
+            self.blame_report = BlameRunReport(
+                label=config.mode,
+                tenants=[(tenant.name, tenant.blame)
+                         for tenant in self.tenants])
+            self.blame_report.label = BLAME.register(config.mode,
+                                                     self.blame_report)
         self.telemetry: Optional[TelemetrySampler] = None
-        if config.telemetry is not None or telemetry_enabled():
-            telemetry_config = (config.telemetry or
-                                global_telemetry_config() or
+        if config.telemetry is not None or TELEMETRY.enabled():
+            telemetry_config = (config.telemetry or TELEMETRY.config or
                                 TelemetryConfig())
             self.telemetry = build_sampler(self, telemetry_config,
                                            label=config.mode)
-            register_sampler(config.mode, self.telemetry)
+            self.telemetry.label = TELEMETRY.register(config.mode,
+                                                      self.telemetry)
             if self.blame_report is not None:
                 # SLO-watchdog events get stamped with the dominant blame
                 # category observed so far — "the SLO broke, and here is

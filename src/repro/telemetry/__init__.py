@@ -14,20 +14,22 @@ Like tracing, telemetry is **zero overhead when disabled**: no sampler
 exists, and a sampled run only reads state, so counter snapshots of a
 sampled and an unsampled run are byte-identical (CI-asserted).
 
-The **global telemetry switch** mirrors the trace switch: experiments
-build their own systems internally, so ``repro run <exp> --telemetry``
-flips the process-wide switch and every system constructed while it is
-on wires a sampler and registers it in the run collector.
+:data:`TELEMETRY` is the plane's switch (:class:`repro.obs.plane.Plane`):
+``repro run <exp> --telemetry`` arms it, and every system constructed
+while it is on wires a sampler and registers it for export.
 
 Submodules are loaded lazily (PEP 562): :mod:`repro.telemetry.names` is
 a leaf imported from low layers (``trace.tracer``, ``system.metrics``),
 and an eager package init would close an import cycle through
-``sampler`` → ``sim.process`` → ``sim.core`` → ``trace.tracer``.
+``sampler`` → ``sim.process`` → ``sim.core`` → ``trace.tracer``.  The
+switch therefore comes from the leaf :mod:`repro.obs.plane`.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any
+
+from repro.obs.plane import Plane
 
 __all__ = [
     "ADDITIVE_METRICS", "AGGREGATE", "COUNTER", "GAUGE",
@@ -40,9 +42,8 @@ __all__ = [
     "validate_telemetry_file",
     "summary_table", "events_table", "health_table",
     "build_sampler",
-    "enable_telemetry", "disable_telemetry", "telemetry_enabled",
-    "global_telemetry_config", "collected_samplers", "clear_samplers",
-    "register_sampler",
+    "TELEMETRY", "enable_telemetry", "disable_telemetry",
+    "telemetry_enabled", "collected_samplers", "clear_samplers",
 ]
 
 _LAZY = {
@@ -74,55 +75,12 @@ def __getattr__(name: str) -> Any:
     return value
 
 
-# ----------------------------------------------------------------------
-# process-wide switch + run collector (mirrors repro.trace)
-# ----------------------------------------------------------------------
-_GLOBAL_ENABLED = False
-_GLOBAL_CONFIG: Optional[Any] = None
-_SAMPLERS: List[Tuple[str, Any]] = []
-_LABEL_COUNTS: dict = {}
+TELEMETRY = Plane()
+"""The process-wide telemetry switch; its ``config`` is the sampling
+config every system built while it is on uses."""
 
-
-def enable_telemetry(config: Optional[Any] = None) -> None:
-    """Turn the process-wide telemetry switch on (CLI ``--telemetry``)."""
-    global _GLOBAL_ENABLED, _GLOBAL_CONFIG
-    _GLOBAL_ENABLED = True
-    _GLOBAL_CONFIG = config
-
-
-def disable_telemetry() -> None:
-    """Turn the switch off (new systems stop sampling)."""
-    global _GLOBAL_ENABLED, _GLOBAL_CONFIG
-    _GLOBAL_ENABLED = False
-    _GLOBAL_CONFIG = None
-
-
-def telemetry_enabled() -> bool:
-    """True while the process-wide switch is on."""
-    return _GLOBAL_ENABLED
-
-
-def global_telemetry_config() -> Optional[Any]:
-    """The config installed with :func:`enable_telemetry` (may be None)."""
-    return _GLOBAL_CONFIG
-
-
-def register_sampler(label: str, sampler: Any) -> str:
-    """Record a sampler for post-run export; returns its unique label."""
-    count = _LABEL_COUNTS.get(label, 0) + 1
-    _LABEL_COUNTS[label] = count
-    unique = label if count == 1 else f"{label}#{count}"
-    sampler.label = unique
-    _SAMPLERS.append((unique, sampler))
-    return unique
-
-
-def collected_samplers() -> List[Tuple[str, Any]]:
-    """Every (label, sampler) since the last :func:`clear_samplers`."""
-    return list(_SAMPLERS)
-
-
-def clear_samplers() -> None:
-    """Drop collected samplers (start of a telemetry CLI invocation)."""
-    _SAMPLERS.clear()
-    _LABEL_COUNTS.clear()
+enable_telemetry = TELEMETRY.enable
+disable_telemetry = TELEMETRY.disable
+telemetry_enabled = TELEMETRY.enabled
+collected_samplers = TELEMETRY.collected
+clear_samplers = TELEMETRY.clear

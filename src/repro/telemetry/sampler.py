@@ -111,23 +111,22 @@ class TelemetrySampler:
                 self.samples % self.config.health_every == 0:
             self.health.record(t_ns)
         edges = self.watchdogs.evaluate(t_ns, values)
-        recorder = self.sim.flightrec
-        if recorder is not None and edges:
+        obs = self.sim.obs
+        if obs is not None:
             for edge in edges:
-                recorder.record(edge.t_ns, "telemetry",
-                                f"watchdog_{edge.kind}", None,
-                                {"watchdog": edge.watchdog,
-                                 "tenant": edge.tenant,
-                                 "severity": edge.severity,
-                                 "value": edge.value,
-                                 "blame": edge.blame})
-                # An error-severity FIRED edge is an incident trigger:
-                # the SLO did not wobble, something broke.
-                if edge.severity == "error" and edge.kind == "fired":
-                    recorder.trip(edge.t_ns, "watchdog_error",
-                                  {"watchdog": edge.watchdog,
-                                   "tenant": edge.tenant,
-                                   "value": edge.value})
+                detail = dict(watchdog=edge.watchdog, tenant=edge.tenant,
+                              severity=edge.severity, value=edge.value,
+                              blame=edge.blame)
+                if edge.kind == "fired":
+                    obs.emit("telemetry", "watchdog_fired", **detail)
+                    # An error-severity FIRED edge is an incident
+                    # trigger: the SLO did not wobble, something broke.
+                    if edge.severity == "error":
+                        obs.emit("telemetry", "watchdog_error",
+                                 watchdog=edge.watchdog, tenant=edge.tenant,
+                                 value=edge.value)
+                else:
+                    obs.emit("telemetry", "watchdog_cleared", **detail)
         return edges
 
     # ------------------------------------------------------------------

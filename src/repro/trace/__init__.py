@@ -7,17 +7,18 @@ Public surface:
 * :func:`write_chrome_trace` / :func:`validate_trace_file` — Chrome
   ``trace_event`` export, loadable in Perfetto;
 * :func:`summarize` and the table renderers — derived metrics;
-* the **global trace switch** below, used by the CLI: experiments build
-  their own :class:`~repro.system.system.KvSystem` instances internally,
-  so ``repro run <exp> --trace`` flips this process-wide switch and every
-  system constructed while it is on installs a tracer and registers it in
-  the run collector for one merged export.
+* :data:`TRACE`, the trace plane's switch (:class:`repro.obs.plane.Plane`):
+  ``repro run <exp> --trace`` arms it, and every system constructed while
+  it is on installs a tracer (:func:`install_tracer`) and registers it
+  for one merged export.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any
 
+from repro.obs.events import arm
+from repro.obs.plane import Plane
 from repro.trace.export import (
     trace_document,
     trace_events,
@@ -50,57 +51,20 @@ __all__ = [
     "validate_trace_file", "write_chrome_trace",
     "summarize", "component_table", "phase_table", "queue_split_table",
     "histogram_rows",
-    "enable_tracing", "disable_tracing", "tracing_enabled",
-    "install_tracer", "collected_runs", "clear_runs",
+    "TRACE", "install_tracer", "clear_runs",
 ]
 
-_GLOBAL_CONFIG: Optional[TraceConfig] = None
-_GLOBAL_ENABLED = False
-_RUNS: List[Tuple[str, Tracer]] = []
-_LABEL_COUNTS: dict = {}
+TRACE = Plane()
+"""The process-wide trace switch and the tracers built under it."""
+
+clear_runs = TRACE.clear
 
 
-def enable_tracing(config: Optional[TraceConfig] = None) -> None:
-    """Turn the process-wide trace switch on (CLI ``--trace``)."""
-    global _GLOBAL_ENABLED, _GLOBAL_CONFIG
-    _GLOBAL_ENABLED = True
-    _GLOBAL_CONFIG = config
-
-
-def disable_tracing() -> None:
-    """Turn the switch off (new systems go back to :data:`NULL_TRACER`)."""
-    global _GLOBAL_ENABLED, _GLOBAL_CONFIG
-    _GLOBAL_ENABLED = False
-    _GLOBAL_CONFIG = None
-
-
-def tracing_enabled() -> bool:
-    """True while the process-wide switch is on."""
-    return _GLOBAL_ENABLED
-
-
-def install_tracer(sim: Any, label: str = "run",
-                   config: Optional[TraceConfig] = None) -> Tracer:
-    """Attach a fresh tracer to ``sim`` and register it for export.
-
-    Labels are uniquified (``checkin``, ``checkin#2`` …) so multi-run
-    sweeps export one process group per run.
-    """
-    tracer = Tracer(sim, config if config is not None else _GLOBAL_CONFIG)
+def install_tracer(sim: Any, label: str = "run") -> Tracer:
+    """Attach a fresh tracer to ``sim``, arm its point-event path and
+    register the tracer for export."""
+    tracer = Tracer(sim)
     sim.tracer = tracer
-    count = _LABEL_COUNTS.get(label, 0) + 1
-    _LABEL_COUNTS[label] = count
-    unique = label if count == 1 else f"{label}#{count}"
-    _RUNS.append((unique, tracer))
+    arm(sim)
+    TRACE.register(label, tracer)
     return tracer
-
-
-def collected_runs() -> List[Tuple[str, Tracer]]:
-    """Every (label, tracer) registered since the last :func:`clear_runs`."""
-    return list(_RUNS)
-
-
-def clear_runs() -> None:
-    """Drop collected tracers (start of a traced CLI invocation)."""
-    _RUNS.clear()
-    _LABEL_COUNTS.clear()

@@ -110,9 +110,6 @@ class TraceConfig:
     """Ring-buffer capacity per component tag (bounded memory for long
     runs; the timeline export keeps the newest spans of every track)."""
 
-    keep_instants: bool = True
-    """Record zero-duration instant events (e.g. aligner layout marks)."""
-
 
 @dataclass
 class StageStat:
@@ -165,13 +162,13 @@ class Tracer:
         self.config = config if config is not None else TraceConfig()
         self._next_id = 0
         self._rings: Dict[str, Deque[Span]] = {}
+        self._open: Dict[int, Span] = {}
+        """Spans begun but not yet ended, by id."""
         self.stage_stats: Dict[Tuple[str, str], StageStat] = {}
         self.checkpoint_summaries: List[Dict[str, Any]] = []
         """One entry per completed checkpoint root span: strategy, start,
         duration and the per-phase breakdown."""
 
-        self.started = 0
-        self.finished = 0
         self.dropped = 0
         """Finished spans evicted from a full ring (aggregates keep them)."""
 
@@ -189,27 +186,26 @@ class Tracer:
               track: int = 0, **attrs: Any) -> Span:
         """Open a span at the current clock; close it with :meth:`end`."""
         self._next_id += 1
-        self.started += 1
-        return Span(self._next_id, component, name, self._clock(),
+        span = Span(self._next_id, component, name, self._clock(),
                     parent=parent, track=track, attrs=attrs)
+        self._open[span.span_id] = span
+        return span
 
     def end(self, span: Span, **attrs: Any) -> Span:
         """Close a span at the current clock and record it."""
         if span.end_ns is not None:
             raise ValueError(f"span already ended: {span!r}")
         span.end_ns = self._clock()
+        del self._open[span.span_id]
         if attrs:
             span.attrs.update(attrs)
-        self.finished += 1
         self._aggregate(span)
         self._retain(span)
         return span
 
     def instant(self, component: str, name: str, track: int = 0,
-                **attrs: Any) -> Optional[Span]:
+                **attrs: Any) -> Span:
         """Record a zero-duration mark (an event, not a stage)."""
-        if not self.config.keep_instants:
-            return None
         self._next_id += 1
         now = self._clock()
         span = Span(self._next_id, component, name, now, track=track,
@@ -274,7 +270,11 @@ class Tracer:
     @property
     def open_spans(self) -> int:
         """Spans begun but never ended (e.g. daemons killed mid-span)."""
-        return self.started - self.finished
+        return len(self._open)
+
+    def unfinished(self) -> List[Span]:
+        """The open spans themselves, oldest first."""
+        return list(self._open.values())
 
     def validate(self) -> List[str]:
         """Structural invariant check over the retained spans.
@@ -303,11 +303,8 @@ class NullTracer:
     """Disabled tracer: every operation is a no-op, nothing is allocated."""
 
     enabled = False
-    config = TraceConfig(max_spans_per_component=0, keep_instants=False)
     stage_stats: Dict[Tuple[str, str], StageStat] = {}
     checkpoint_summaries: List[Dict[str, Any]] = []
-    started = 0
-    finished = 0
     dropped = 0
     open_spans = 0
 

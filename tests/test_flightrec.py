@@ -23,6 +23,7 @@ from repro.obs import (
     enable_flightrec,
     flightrec_enabled,
 )
+from repro.obs.flightrec import DEFAULT_CAPACITY
 from repro.system import KvSystem, run_config, tiny_config
 from repro.telemetry import TelemetryConfig
 
@@ -96,12 +97,12 @@ class TestWiring:
         assert system.sim.flightrec is system.flightrec
 
     def test_global_switch_arms_plain_config(self):
-        enable_flightrec(capacity=64)
+        enable_flightrec()
         try:
             assert flightrec_enabled()
             run = run_config(tiny_config())
             assert run.flightrec is not None
-            assert run.flightrec.capacity == 64
+            assert run.flightrec.capacity == DEFAULT_CAPACITY
         finally:
             disable_flightrec()
         assert not flightrec_enabled()

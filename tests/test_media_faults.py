@@ -34,7 +34,7 @@ from repro.ssd import (
 )
 from repro.system.config import tiny_config
 from repro.system.system import KvSystem
-from repro.trace import Tracer, summarize
+from repro.trace import install_tracer, summarize
 
 
 def make_flaky_ssd(read_uecc_base=0.9, media_retry_limit=0,
@@ -108,7 +108,7 @@ class TestTypedCompletions:
 
     def test_retry_and_error_events_appear_in_trace_summary(self):
         sim, ssd = make_flaky_ssd()
-        sim.tracer = Tracer(sim)
+        install_tracer(sim)
         ssd.ftl.preload(0, 80, tags=[f"t{s}" for s in range(80)])
 
         def driver():

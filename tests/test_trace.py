@@ -108,11 +108,6 @@ class TestTracerCore:
         tracer.end(done)
         assert tracer.open_spans == 1
 
-    def test_instants_suppressed_when_configured(self):
-        tracer = Tracer(FakeSim(), TraceConfig(keep_instants=False))
-        assert tracer.instant("aligner", "layout") is None
-        assert tracer.spans() == []
-
     def test_checkpoint_phase_folding(self):
         sim = FakeSim()
         tracer = Tracer(sim)
