@@ -34,7 +34,7 @@ from repro.engine.checkpointer import (
 )
 from repro.engine.journal import JournalConfig, JournalManager
 from repro.engine.kvmap import KeyValueMap
-from repro.obs.blame import fold_completion
+from repro.obs.blame import StageClock, fold_completion
 from repro.telemetry.names import safe_ratio
 from repro.sim.core import Event, Simulator
 from repro.ssd.commands import Command, Op
@@ -314,10 +314,11 @@ class StorageEngine:
             if self.repl_wait is not None:
                 ack = self.repl_wait(offset)
                 if ack is not None:
-                    t0 = self.sim.now if blame is not None else 0
+                    # The journal fold lapped up to the commit, which
+                    # is this instant: the mark is the wait's start.
                     yield ack
                     if blame is not None:
-                        blame.charge("repl_ship", self.sim.now - t0)
+                        blame.lap("repl_ship")
         if span is not None:
             tracer.end(span, bytes=record.size_bytes)
         return version
@@ -429,11 +430,11 @@ class StorageEngine:
             command = Command(op=Op.READ, lba=lba, nsectors=nsectors)
             command.span = span
             if blame is not None:
-                command.blame = {}
-            t0 = self.sim.now if blame is not None else 0
+                blame.skip()
+                command.blame = StageClock(self.sim)
             completion = yield self.ssd.submit(command)
             if blame is not None:
-                fold_completion(blame, self.sim.now - t0, command.blame,
+                fold_completion(blame, command.blame,
                                 "ctrl_cpu" if completion.ok
                                 else "media_retry")
             if completion.ok:
@@ -453,6 +454,8 @@ class StorageEngine:
                           ) -> Generator[Any, Any, Optional[int]]:
         """YCSB workload F's RMW: a read followed by an update."""
         yield from self.get(key, trace_parent=trace_parent, blame=blame)
+        if blame is not None:
+            blame.skip()  # the read's tail is host CPU (the residual)
         version = yield from self.put(key, trace_parent=trace_parent,
                                       blame=blame)
         return version
@@ -579,11 +582,9 @@ class StorageEngine:
         return None
 
     def _pass_gate(self, blame: Any = None) -> Generator[Any, Any, None]:
-        if blame is None:
-            while self._gate is not None and not self._gate.triggered:
-                yield self._gate
-            return
-        t0 = self.sim.now
+        """Wait out a closed consistency gate; a ledger's mark is the
+        query's start, so the wait laps to ``ckpt_freeze_stall``."""
         while self._gate is not None and not self._gate.triggered:
             yield self._gate
-        blame.charge("ckpt_freeze_stall", self.sim.now - t0)
+        if blame is not None:
+            blame.lap("ckpt_freeze_stall")

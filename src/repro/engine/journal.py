@@ -18,7 +18,7 @@ from repro.common.errors import EngineError
 from repro.common.units import SECTOR_SIZE, US
 from repro.engine.aligner import JournalFormatter, UpdateRequest
 from repro.engine.jmt import JournalMappingTable
-from repro.obs.blame import RequestLedger, fold_completion
+from repro.obs.blame import RequestLedger, StageClock, fold_completion
 from repro.sim.core import Event, Simulator
 from repro.sim.process import Interrupt, spawn
 from repro.ssd.commands import Status, write_command
@@ -118,7 +118,7 @@ class JournalManager:
         self._epoch = 0
         self.active_jmt = JournalMappingTable(epoch=0)
         self.frozen: Optional[FrozenEpoch] = None
-        self._pending: List[Tuple[UpdateRequest, Event, int,
+        self._pending: List[Tuple[UpdateRequest, Event,
                                   Optional[RequestLedger]]] = []
         self._arrival: Optional[Event] = None
         self._space_freed: Optional[Event] = None
@@ -158,13 +158,15 @@ class JournalManager:
                ledger: Optional[RequestLedger] = None) -> Event:
         """Queue an update for journaling; event fires when committed.
 
-        ``ledger`` opts the update into blame attribution: time from now
-        until its batch is picked is ``journal_queue``; rotation and
-        journal-full stalls and the device write itself are charged as
-        the committer measures them.
+        ``ledger`` opts the update into blame attribution: its mark moves
+        to now, and the committer laps every batch member's ledger from
+        there — ``journal_queue`` until the batch is picked, then the
+        rotation and journal-full stalls and the device write itself.
         """
         commit_event = self.sim.event()
-        self._pending.append((request, commit_event, self.sim.now, ledger))
+        if ledger is not None:
+            ledger.skip()
+        self._pending.append((request, commit_event, ledger))
         if self._arrival is not None and not self._arrival.triggered:
             self._arrival.succeed()
         return commit_event
@@ -210,18 +212,17 @@ class JournalManager:
             return
 
     def _commit_transaction(
-            self, batch: List[Tuple[UpdateRequest, Event, int,
+            self, batch: List[Tuple[UpdateRequest, Event,
                                     Optional[RequestLedger]]]
             ) -> Generator[Any, Any, None]:
-        t_pick = self.sim.now
-        ledgers = [ledger for _r, _e, _t, ledger in batch if ledger is not None]
-        if ledgers:
-            # Every batch member queued from its own submit time until
-            # this pick (group-commit gathering + committer backlog).
-            for _request, _event, submitted, ledger in batch:
-                if ledger is not None:
-                    ledger.charge("journal_queue", t_pick - submitted)
-        requests = [request for request, _event, _ts, _ledger in batch]
+        ledgers = [ledger for _r, _e, ledger in batch if ledger is not None]
+        # Every batch member queued from its own submit time until this
+        # pick (group-commit gathering + committer backlog).  From here
+        # on the members' windows coincide, so each lap below runs on
+        # every ledger (no-op loops when nobody is blamed).
+        for ledger in ledgers:
+            ledger.lap("journal_queue")
+        requests = [request for request, _event, _ledger in batch]
         layout = self.formatter.layout(requests, first_lba=0)
         nsectors = layout.nsectors
         tracer = self.sim.tracer
@@ -246,30 +247,27 @@ class JournalManager:
                 # No space will ever be freed again (checkpoints stopped);
                 # fail the batch instead of parking its waiters forever.
                 self.stats.counter("journal.failed_txns").add(1)
-                for _request, event, _ts, _ledger in batch:
+                for _request, event, _ledger in batch:
                     event.succeed(None)
                 return
             while self._rotating:
                 self._rotation_done = self.sim.event()
-                t0 = self.sim.now if ledgers else 0
                 yield self._rotation_done
-                if ledgers:
-                    # Held at the door while the checkpoint rotates halves.
-                    for ledger in ledgers:
-                        ledger.charge("ckpt_freeze_stall", self.sim.now - t0)
+                # Held at the door while the checkpoint rotates halves.
+                for ledger in ledgers:
+                    ledger.lap("ckpt_freeze_stall")
             lba = self._halves[self._active_index].allocate(nsectors, align)
             if lba is None:
                 # Journal half full: wait for a checkpoint to rotate halves.
                 self.stats.counter("journal.full_stalls").add(1)
                 self._space_freed = self.sim.event()
-                t0 = self.sim.now if ledgers else 0
                 yield self._space_freed
-                if ledgers:
-                    for ledger in ledgers:
-                        ledger.charge("journal_full_stall", self.sim.now - t0)
+                for ledger in ledgers:
+                    ledger.lap("journal_full_stall")
         self._inflight_txns += 1
         try:
-            yield from self._write_and_commit(batch, layout, lba, nsectors)
+            yield from self._write_and_commit(batch, ledgers, layout, lba,
+                                              nsectors)
         finally:
             self._inflight_txns -= 1
             if self._inflight_txns == 0 and self._quiesced is not None \
@@ -277,13 +275,12 @@ class JournalManager:
                 self._quiesced.succeed()
 
     def _write_and_commit(
-            self, batch: List[Tuple[UpdateRequest, Event, int,
+            self, batch: List[Tuple[UpdateRequest, Event,
                                     Optional[RequestLedger]]],
-            layout, lba: int,
+            ledgers: List[RequestLedger], layout, lba: int,
             nsectors: int) -> Generator[Any, Any, None]:
         for entry in layout.entries:
             entry.journal_lba += lba
-        ledgers = [ledger for _r, _e, _t, ledger in batch if ledger is not None]
         tracer = self.sim.tracer
         span = tracer.begin("journal", "txn", lba=lba, nsectors=nsectors,
                             logs=len(batch),
@@ -301,19 +298,16 @@ class JournalManager:
                 stream="journal", cause="journal")
             command.span = span
             if ledgers:
-                command.blame = {}
-            t0 = self.sim.now if ledgers else 0
+                command.blame = StageClock(self.sim)
             completion = yield self.ssd.submit(command)
-            if ledgers:
-                # Every batch member waited this same absolute window;
-                # the device breakdown folds into each ledger, leaving
-                # the host-side residual to journal_commit (media_retry
-                # when the attempt failed).
-                window = self.sim.now - t0
-                residual = ("journal_commit" if completion.ok
-                            else "media_retry")
-                for ledger in ledgers:
-                    fold_completion(ledger, window, command.blame, residual)
+            # Every batch member waited this same absolute window; the
+            # device breakdown folds into each ledger, leaving the
+            # host-side residual to journal_commit (media_retry when the
+            # attempt failed).
+            for ledger in ledgers:
+                fold_completion(ledger, command.blame,
+                                "journal_commit" if completion.ok
+                                else "media_retry")
             if completion.ok:
                 break
             if completion.status is Status.MEDIA_ERROR \
@@ -326,7 +320,7 @@ class JournalManager:
                 tracer.end(span)
             self.enter_degraded(completion.error or completion.status.value)
             self.stats.counter("journal.failed_txns").add(1)
-            for _request, event, _ts, _ledger in batch:
+            for _request, event, _ledger in batch:
                 event.succeed(None)
             return
         if span is not None:
@@ -341,7 +335,7 @@ class JournalManager:
             entry.committed = True
             self.active_jmt.add(entry)
             by_identity[(entry.key, entry.version)] = entry
-        for request, event, _ts, _ledger in batch:
+        for request, event, _ledger in batch:
             entry = by_identity[(request.key, request.version)]
             event.succeed(entry)
         del completion

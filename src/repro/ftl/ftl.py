@@ -41,7 +41,7 @@ from repro.flash.geometry import FlashGeometry
 from repro.ftl.allocator import BlockAllocator, PageProgram
 from repro.ftl.gc import GarbageCollector
 from repro.ftl.mapping import SubPageMappingTable
-from repro.obs.blame import add_ns
+from repro.obs.blame import StageClock
 from repro.sim.core import GRANTED, Event, Simulator, all_of
 from repro.sim.process import spawn
 from repro.sim.resources import Resource
@@ -311,7 +311,7 @@ class Ftl:
               tags: Optional[Sequence[SectorTag]] = None,
               stream: str = "data",
               cause: str = "host",
-              blame: Optional[Dict[str, int]] = None
+              blame: Optional[StageClock] = None
               ) -> Generator[Any, Any, None]:
         """Timed host-style write of ``nsectors`` sectors at ``lba``.
 
@@ -335,7 +335,6 @@ class Ftl:
             if tracer.enabled else None
         lpns = self.lpn_span(lba, nsectors)  # ascending
         locks = self._lpn_locks
-        t0 = sim.now if blame is not None else 0
         for lpn in lpns:
             if lpn in locks:
                 waiter = Event(sim)
@@ -347,13 +346,10 @@ class Ftl:
             else:
                 locks[lpn] = None
                 yield GRANTED
-        if blame is not None:
-            add_ns(blame, "ftl_map", sim.now - t0)
         try:
-            t0 = sim.now if blame is not None else 0
             yield from self.touch_map(lpns)
             if blame is not None:
-                add_ns(blame, "ftl_map", sim.now - t0)
+                blame.lap("ftl_map")  # LPN lock waits + map-cache touches
 
             spu = self.sectors_per_unit
             plan: List[Tuple[int, int, int, bool]] = []  # lpn, start, end, rmw
@@ -378,11 +374,11 @@ class Ftl:
             old_pages: Dict[int, Any] = {}
             if rmw_pages:
                 if blame is not None:
-                    t0, busy0 = sim.now, self.array.ckpt_busy_ns()
+                    blame.mark_busy(self.array)
                 yield from self._read_pages_parallel(sorted(set(rmw_pages)),
                                                      old_pages)
                 if blame is not None:
-                    self._charge_flash_wait(blame, "flash_read", t0, busy0)
+                    blame.lap_split("flash_read", self.array)
                 self.stats.counter("ftl.rmw_reads").add(len(set(rmw_pages)))
 
             # Merge every unit's tags before the first staging-slot wait.
@@ -411,13 +407,13 @@ class Ftl:
                 if self.gc.needs_urgent_collection():
                     yield from self.gc.ensure_free_blocks(blame=blame)
                 if blame is not None:
-                    t0, busy0 = sim.now, self.array.ckpt_busy_ns()
+                    blame.mark_busy(self.array)
                 yield self._write_buffer.acquire()
                 if blame is not None:
                     # Waiting for a staging slot = backpressure from
                     # in-flight page programs (checkpoint-coincident wait
                     # splits out).
-                    self._charge_flash_wait(blame, "flash_program", t0, busy0)
+                    blame.lap_split("flash_program", self.array)
                 upas, programs = self.allocator.allocate(
                     self._qualify(stream, lpn), 1)
                 upa = upas[0]
@@ -430,7 +426,7 @@ class Ftl:
                     self._launch_program(program, ckpt=is_ckpt)
                 yield map_update_ns
                 if blame is not None:
-                    add_ns(blame, "ftl_map", map_update_ns)
+                    blame.lap("ftl_map")
             count = len(units)
             counter = self._unit_write_counters.get(cause)
             if counter is None:
@@ -464,22 +460,6 @@ class Ftl:
         if page_data is None:
             return None
         return page_data.get(self.mapping.unit_index(upa))
-
-    def _charge_flash_wait(self, blame: Dict[str, int], category: str,
-                           t0: int, busy0: int) -> None:
-        """Split one measured flash wait between its service category
-        and ``ckpt_interference``.
-
-        The portion of the window that overlapped device-wide checkpoint
-        activity (diff of the array's busy clock) is the storm's fault:
-        the LUNs and staging slots this request queued for were occupied
-        by checkpoint traffic.  The two charges sum exactly to the
-        window, preserving blame conservation.
-        """
-        window = self.sim.now - t0
-        overlap = min(window, self.array.ckpt_busy_ns() - busy0)
-        add_ns(blame, "ckpt_interference", overlap)
-        add_ns(blame, category, window - overlap)
 
     def _launch_program(self, program: PageProgram, attempt: int = 0,
                         ckpt: bool = False) -> None:
@@ -672,7 +652,7 @@ class Ftl:
     # read path
     # ------------------------------------------------------------------
     def read(self, lba: int, nsectors: int,
-             blame: Optional[Dict[str, int]] = None,
+             blame: Optional[StageClock] = None,
              ckpt: bool = False
              ) -> Generator[Any, Any, List[SectorTag]]:
         """Timed read; returns one tag per requested sector.
@@ -687,10 +667,9 @@ class Ftl:
                             bytes=nsectors * 512) \
             if tracer.enabled else None
         lpns = self.lpn_span(lba, nsectors)
-        t0 = self.sim.now if blame is not None else 0
         yield from self.touch_map(lpns)
         if blame is not None:
-            add_ns(blame, "ftl_map", self.sim.now - t0)
+            blame.lap("ftl_map")
         lpn_to_upa: Dict[int, Optional[int]] = {
             lpn: self.mapping.lookup(lpn) for lpn in lpns}
         # Snapshot staged contents now: a unit staged at planning time may
@@ -709,15 +688,15 @@ class Ftl:
         page_data: Dict[int, Any] = {}
         if flash_pages:
             if blame is not None:
-                t0, busy0 = self.sim.now, self.array.ckpt_busy_ns()
+                blame.mark_busy(self.array)
             yield from self._read_pages_parallel(sorted(flash_pages),
                                                  page_data, ckpt=ckpt)
             if blame is not None:
-                self._charge_flash_wait(blame, "flash_read", t0, busy0)
+                blame.lap_split("flash_read", self.array)
         if staged_snapshot:
             yield self._staged_read_ns
             if blame is not None:
-                add_ns(blame, "flash_read", self._staged_read_ns)
+                blame.lap("flash_read")
 
         result: List[SectorTag] = []
         for sector in range(lba, lba + nsectors):
@@ -783,7 +762,7 @@ class Ftl:
     # trim / deallocate
     # ------------------------------------------------------------------
     def trim(self, lba: int, nsectors: int,
-             blame: Optional[Dict[str, int]] = None
+             blame: Optional[StageClock] = None
              ) -> Generator[Any, Any, int]:
         """Deallocate every unit fully inside the range; returns unit count."""
         tracer = self.sim.tracer
@@ -803,8 +782,7 @@ class Ftl:
         if invalidated:
             yield invalidated * self.config.map_update_ns
             if blame is not None:
-                add_ns(blame, "ftl_map",
-                       invalidated * self.config.map_update_ns)
+                blame.lap("ftl_map")
             self.stats.counter("ftl.trim.units").add(invalidated)
         if span is not None:
             tracer.end(span, units=invalidated)

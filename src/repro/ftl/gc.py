@@ -141,11 +141,11 @@ class GarbageCollector:
         still below the watermark (the device is genuinely full of valid
         data).
 
-        ``blame`` charges the whole foreground stall (victim migration,
+        ``blame`` (the stalled command's stage clock, whose mark is the
+        stall's start) laps the whole foreground stall (victim migration,
         erase, programming catch-up waits) to ``gc_stall`` — the request
         could not make progress for exactly this window.
         """
-        t0 = self.ftl.sim.now if blame is not None else 0
         try:
             while self.needs_urgent_collection():
                 reclaimed = yield from self.collect_once()
@@ -162,8 +162,7 @@ class GarbageCollector:
                 break  # nothing reclaimable, but writes can still proceed
         finally:
             if blame is not None:
-                from repro.obs.blame import add_ns
-                add_ns(blame, "gc_stall", self.ftl.sim.now - t0)
+                blame.lap("gc_stall")
 
     def _victims_pending_program(self) -> bool:
         """True when a would-be victim is only blocked by in-flight programs."""

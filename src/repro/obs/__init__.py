@@ -2,8 +2,9 @@
 
 Public surface:
 
-* :class:`RequestLedger` / :func:`fold_completion` / :func:`add_ns` —
-  the attribution primitives threaded along the request path (see
+* :class:`StageClock` / :class:`RequestLedger` / :func:`fold_completion`
+  — the attribution primitives threaded along the request path: one
+  lap per measured window, one fold per device command (see
   :mod:`repro.obs.blame` for the conservation invariant);
 * :class:`BlameCollector` / :class:`BlameRunReport` and the table
   renderers — per-tenant summaries, tail profiles, exemplars;
@@ -32,8 +33,8 @@ from repro.obs.blame import (
     BlameRecord,
     BlameRunReport,
     RequestLedger,
+    StageClock,
     TailProfile,
-    add_ns,
     blame_table,
     exemplar_table,
     fold_completion,
@@ -68,7 +69,7 @@ from repro.obs.plane import Plane
 __all__ = [
     "CATEGORIES", "CKPT_FAMILY", "RESIDUAL",
     "BlameCollector", "BlameError", "BlameRecord", "BlameRunReport",
-    "RequestLedger", "TailProfile", "add_ns", "fold_completion",
+    "RequestLedger", "StageClock", "TailProfile", "fold_completion",
     "blame_table", "tail_table", "exemplar_table",
     "SCHEMA", "blame_records", "validate_blame_file", "write_blame_jsonl",
     "BLAME", "clear_blame",

@@ -98,10 +98,11 @@ class Command:
     parents its own device-side span under it, threading the trace
     context across the host interface without changing any timing.
 
-    ``blame`` is the submitter's device-side attribution dict (or None):
-    when a request carries a blame ledger the submitter assigns an empty
-    dict before submit and folds it back into the ledger on completion
-    (see :mod:`repro.obs.blame`).  Like ``span`` it never changes timing.
+    ``blame`` is the device-side :class:`~repro.obs.blame.StageClock` (or
+    None): a submitter whose request carries a blame ledger hangs a fresh
+    clock here before submit, every device stage laps it, and the
+    submitter folds it back into the ledger on completion.  Like ``span``
+    it never changes timing.
     """
 
     __slots__ = ("op", "lba", "nsectors", "tags", "fua", "stream", "cause",

@@ -135,12 +135,8 @@ class Ssd:
         """Submit a command; event resolves with a Completion."""
         return self.controller.submit(command)
 
-    def execute(self, command: Command) -> Generator[Any, Any, Completion]:
-        """Submit and wait — convenience for single-command callers."""
-        completion = yield self.submit(command)
-        return completion
-
     # -- convenience wrappers used by tests and examples -----------------
+    # Both go through ``self.submit``, so a NamespaceHandle reuses them.
     def read(self, lba: int, nsectors: int) -> Generator[Any, Any, List[Any]]:
         """Read tags for a sector range."""
         completion = yield self.submit(Command(op=Op.READ, lba=lba,
@@ -193,25 +189,8 @@ class NamespaceHandle:
             command.nsid = self.nsid
         return self.device.submit(command)
 
-    def execute(self, command: Command) -> Generator[Any, Any, Completion]:
-        """Submit through this namespace and wait."""
-        completion = yield self.submit(command)
-        return completion
-
-    def read(self, lba: int, nsectors: int) -> Generator[Any, Any, List[Any]]:
-        """Read tags for a sector range inside this namespace."""
-        completion = yield self.submit(Command(op=Op.READ, lba=lba,
-                                               nsectors=nsectors))
-        return completion.tags
-
-    def write(self, lba: int, nsectors: int, tags=None, fua: bool = False,
-              stream: str = "data",
-              cause: str = "host") -> Generator[Any, Any, Completion]:
-        """Write a sector range inside this namespace."""
-        completion = yield self.submit(Command(
-            op=Op.WRITE, lba=lba, nsectors=nsectors, tags=tags, fua=fua,
-            stream=stream, cause=cause))
-        return completion
+    read = Ssd.read
+    write = Ssd.write
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self.device, name)

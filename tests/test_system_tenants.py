@@ -153,6 +153,26 @@ class TestNamespaceEnforcement:
         while system.sim.step():
             pass
 
+    def test_handle_write_stamps_its_nsid(self, drive):
+        """The handle's read/write wrappers go through its ``submit``."""
+        system = self.build()
+        base = system.ssd.namespaces.get(1).lba_start
+        submitted = []
+        controller_submit = system.ssd.controller.submit
+
+        def spy(command):
+            submitted.append(command)
+            return controller_submit(command)
+
+        system.ssd.controller.submit = spy
+        handle = system.ssd.namespace(1)
+        written = drive(system, handle.write(base, 1, tags=["x"]))
+        assert written.value.ok
+        read = drive(system, handle.read(base, 1))
+        assert read.value == ["x"]
+        assert [(command.op, command.nsid) for command in submitted] == \
+            [(Op.WRITE, 1), (Op.READ, 1)]
+
     def test_per_namespace_queue_depth_gauges(self):
         system = self.build()
         for nsid in (0, 1):
