@@ -20,6 +20,7 @@ from contextlib import ExitStack
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.analysis import format_table
+from repro.common.errors import ReplicationError
 from repro.common.units import MIB, parse_duration_ns
 from repro.experiments.base import FULL, QUICK
 from repro.experiments.registry import (
@@ -435,7 +436,11 @@ def _cmd_incident(args: argparse.Namespace) -> int:
     started = time.time()
 
     if args.kill_at is not None:
-        records, result = _run_pair_incident(args)
+        try:
+            records, result = _run_pair_incident(args)
+        except ReplicationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         records, result = _run_node_incident(args)
     elapsed = time.time() - started
@@ -529,10 +534,10 @@ def _run_pair_incident(args: argparse.Namespace) -> Tuple[Any, Any]:
                              ops=args.queries, flightrec=True)
     pair = ReplicatedPair(config)
     pair.start()
-    pair.run_workload(kill_step=args.kill_at)
+    pair.run_workload(kill_instant=args.kill_at)
     pair.kill_primary(SeededRng(args.seed).fork("incident-cli"))
     report = pair.promote()
-    print(f"primary killed at step {args.kill_at}; warm promote RTO "
+    print(f"primary killed at instant {args.kill_at}; warm promote RTO "
           f"{report.rto_ns / 1e6:.3f} ms, RPO {report.rpo_ops} ops")
     records = pair_incident_records(
         pair, window_ns=parse_duration_ns(args.window), k=args.exemplars)
@@ -719,12 +724,12 @@ def _cmd_fault_sweep(args: argparse.Namespace) -> int:
 
     def row(mode: str, sweep: Any) -> List[List[Any]]:
         walls = [point.recovery_wall_ns for point in sweep.points] or [0]
-        return [[mode, len(sweep.points), sweep.total_steps,
+        return [[mode, len(sweep.points), sweep.total_instants,
                  len(sweep.failures()), sum(walls) / len(walls) / 1e6,
                  max(walls) / 1e6, sweep.digest()]]
     failed = _report_campaigns(
         sweeps,
-        ["mode", "crash_points", "workload_steps", "failures",
+        ["mode", "crash_points", "workload_instants", "failures",
          "rec_mean_ms", "rec_max_ms", "digest"],
         row, f"fault sweep (seed {args.seed})")
     print(f"\n[{len(modes) * args.crash_points} crash points: "
@@ -778,18 +783,22 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
     # Single kill-and-promote run.
     config = campaign_config(mode=args.mode, seed=args.seed, ops=args.ops,
                              num_keys=args.keys)
-    kill_step = args.kill_at
-    if kill_step is None:
+    kill_instant = args.kill_at
+    if kill_instant is None:
         reference = ReplicatedPair(config, link=link)
         reference.start()
-        total_steps, _ = reference.run_workload()
+        total_instants, _ = reference.run_workload()
         reference.stop()
-        kill_step = max(1, int(total_steps * args.kill_frac))
+        kill_instant = max(1, int(total_instants * args.kill_frac))
     pair = ReplicatedPair(config, link=link, semi_sync=args.semi_sync)
     pair.start()
-    pair.run_workload(kill_step=kill_step)
+    try:
+        pair.run_workload(kill_instant=kill_instant)
+    except ReplicationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     pair.kill_primary(SeededRng(args.seed).fork("replicate-cli"))
-    print(f"primary killed at step {kill_step} "
+    print(f"primary killed at instant {kill_instant} "
           f"(t={pair.primary.sim.now / 1e6:.3f} ms): "
           f"{len(pair.log)} committed ops, "
           f"shipped {pair.shipper.shipped_offset}, "
@@ -1042,11 +1051,11 @@ def build_parser() -> argparse.ArgumentParser:
                                       "error-edge breach trips the "
                                       "incident dump)")
     incident_parser.add_argument("--kill-at", type=int, default=None,
-                                 metavar="STEP",
+                                 metavar="INSTANT",
                                  help="cross-node incident instead: "
                                       "replicated pair, primary killed "
-                                      "after STEP merged-time steps, "
-                                      "then promoted")
+                                      "once INSTANT merged-time instants "
+                                      "have elapsed, then promoted")
     incident_parser.add_argument("--out", metavar="PATH", default=None,
                                  help="write the repro-incident/v1 JSONL "
                                       "bundle here (re-validated after "
@@ -1141,13 +1150,14 @@ def build_parser() -> argparse.ArgumentParser:
     repl_parser.add_argument("--keys", type=int, default=64)
     repl_parser.add_argument("--seed", type=int, default=7)
     repl_parser.add_argument("--kill-at", type=int, default=None,
-                             metavar="STEP",
-                             help="kill the primary after this many "
-                                  "merged-time steps (default: "
-                                  "--kill-frac of the full run)")
+                             metavar="INSTANT",
+                             help="kill the primary once this many "
+                                  "merged-time instants have elapsed "
+                                  "(default: --kill-frac of the full "
+                                  "run; past its end is an error)")
     repl_parser.add_argument("--kill-frac", type=float, default=0.6,
                              help="kill point as a fraction of the "
-                                  "reference run's steps")
+                                  "reference run's instants")
     repl_parser.add_argument("--latency-us", type=float, default=50.0,
                              help="one-way link latency")
     repl_parser.add_argument("--gbps", type=float, default=10.0,

@@ -48,8 +48,8 @@ MATRIX_SEED = 11
 
 KILL_FRAC = 0.6
 """The dedicated spor_local wreck is cut at this fraction of the
-reference run's merged steps: past the first checkpoints, journal
-re-filled — the regime where replay cost is representative."""
+reference run's merged-time instants: past the first checkpoints,
+journal re-filled — the regime where replay cost is representative."""
 
 
 @dataclass
@@ -129,8 +129,8 @@ def measure_spor_local(mode: str, seed: int, ops: int, num_keys: int,
                        kill_frac: float = KILL_FRAC) -> StrategyRow:
     """Local-restart RTO for the same wreck the campaign kills.
 
-    Runs one replicated pair to ``kill_frac`` of the reference step
-    count, kills the primary, then rebuilds its put history on a solo
+    Runs one replicated pair to ``kill_frac`` of the reference run's
+    instants, kills the primary, then rebuilds its put history on a solo
     node (same config, same checkpoint-quota trimming) and times
     :func:`timed_restart` there — the primary's own simulator is dead,
     so its journal replay is re-enacted on a live clock.  RTO =
@@ -141,13 +141,13 @@ def measure_spor_local(mode: str, seed: int, ops: int, num_keys: int,
                              num_keys=num_keys)
     pair = ReplicatedPair(config, link=link)
     pair.start()
-    total_steps, _ = pair.run_workload()
+    total_instants, _ = pair.run_workload()
     pair.stop()
 
     pair = ReplicatedPair(config, link=link)
     pair.start()
-    kill_step = max(1, int(total_steps * kill_frac))
-    pair.run_workload(kill_step=kill_step)
+    kill_instant = max(1, int(total_instants * kill_frac))
+    pair.run_workload(kill_instant=kill_instant)
     rng = SeededRng(seed).fork("recovery-matrix/spor")
     pair.kill_primary(rng)
     puts = [key for _offset, key, _version, _nbytes in pair.log.entries]

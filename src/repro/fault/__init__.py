@@ -1,7 +1,7 @@
 """Crash-consistency fault injection and invariant checking.
 
 The harness pulls the plug on a running :class:`~repro.system.KvSystem`
-at an arbitrary event boundary, discards everything a power cut destroys
+at the end of a seeded simulated instant, discards everything a power cut destroys
 (in-flight flash programs tear at unit granularity, DRAM structures
 vanish, the capacitor-backed buffers survive), re-runs the recovery
 procedures of §III-G against the post-crash image, and asserts that the

@@ -1,10 +1,11 @@
 """Seeded crash campaigns: one reference-run/crash-point loop, one
 cut → recover → verify step, one result type.
 
-A campaign (a) runs a workload once to completion to learn its event-step
-count ``T``, then (b) replays the identical workload once per seeded
-crash point on a fresh system, pulling the plug after a seeded-random
-number of steps in ``[1, T]`` (:func:`iter_crash_points`).  Every power
+A campaign (a) runs a workload once to completion to learn how many
+simulated instants ``T`` it spans, then (b) replays the identical
+workload once per seeded crash point on a fresh system, pulling the plug
+once a seeded-random instant ``k`` in ``[1, T]`` has fully elapsed
+(:func:`iter_crash_points`, :func:`~repro.sim.core.run_instants`).  Every power
 cut goes through :func:`_cut_and_verify`, which recovers the device and
 asserts:
 
@@ -56,6 +57,7 @@ from repro.fault.invariants import (
     check_ftl_invariants,
     check_namespace_isolation,
 )
+from repro.sim.core import run_instants
 from repro.sim.process import spawn
 from repro.system.config import SystemConfig, TenantSpec, tiny_config
 from repro.system.system import KvSystem
@@ -74,6 +76,8 @@ class CrashPointResult:
 
     index: int = 0
     crash_step: int = 0
+    """The simulated instant after which power was cut (1-based)."""
+
     acked_keys: int = 0
     report: Optional[CrashReport] = None
     mapping_mismatches: int = 0
@@ -89,7 +93,7 @@ class CrashPointResult:
     @property
     def label(self) -> str:
         """Where this point sits in its campaign (failure reports)."""
-        return f"crash point {self.index} (step {self.crash_step})"
+        return f"crash point {self.index} (instant {self.crash_step})"
 
     @property
     def digest_line(self) -> str:
@@ -117,13 +121,14 @@ class CampaignResult:
     """All points of one seeded campaign (power-cut sweep, media grid or
     kill-the-primary campaign).
 
-    ``total_steps`` is the reference run's event-step count (0 for the
-    media grid, whose points are error rates rather than crash steps).
+    ``total_instants`` is the reference run's simulated-instant count (0
+    for the media grid, whose points are error rates rather than crash
+    instants).
     """
 
     mode: str
     seed: int
-    total_steps: int
+    total_instants: int
     points: List[Any] = field(default_factory=list)
 
     @property
@@ -175,22 +180,22 @@ def _mean(values: List[float]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def iter_crash_points(seed: int, total_steps: int, crash_points: int,
+def iter_crash_points(seed: int, total_instants: int, crash_points: int,
                       namespace: str
                       ) -> Generator[Tuple[int, int, SeededRng], None, None]:
-    """Enumerate seeded crash instants: yields ``(index, step, rng)``.
+    """Enumerate seeded crash instants: yields ``(index, instant, rng)``.
 
     One root seed forked through ``namespace`` yields per-point RNGs, each
-    choosing a crash step uniformly in ``[1, total_steps]``.  The yielded
+    choosing a crash instant uniformly in ``[1, total_instants]``.  The yielded
     ``rng`` is the point's private lineage — fork it again (e.g.
     ``rng.fork("tear")``) for any further randomness so points stay
-    independent.  Identical (seed, namespace, total_steps) always
+    independent.  Identical (seed, namespace, total_instants) always
     reproduce identical instants.
     """
     rng = SeededRng(seed).fork(namespace)
     for index in range(crash_points):
         point_rng = rng.fork(f"point{index}")
-        yield index, point_rng.randint(1, total_steps), point_rng
+        yield index, point_rng.randint(1, total_instants), point_rng
 
 
 def run_campaign(mode: str, seed: int, crash_points: int, namespace: str,
@@ -199,15 +204,15 @@ def run_campaign(mode: str, seed: int, crash_points: int, namespace: str,
                  ) -> CampaignResult:
     """The one crash-campaign loop.
 
-    ``reference()`` runs the workload once and returns its event-step
+    ``reference()`` runs the workload once and returns its instant
     count ``T``; ``run_point(index, crash_step, rng)`` then replays it on
-    a fresh system for each seeded point of :func:`iter_crash_points`
-    and returns the point's result (anything with ``ok`` and
+    a fresh system, cut after instant ``crash_step``, for each seeded
+    point of :func:`iter_crash_points` and returns the point's result (anything with ``ok`` and
     ``digest_line``).
     """
-    result = CampaignResult(mode=mode, seed=seed, total_steps=reference())
+    result = CampaignResult(mode=mode, seed=seed, total_instants=reference())
     for index, crash_step, point_rng in iter_crash_points(
-            seed, result.total_steps, crash_points, namespace):
+            seed, result.total_instants, crash_points, namespace):
         result.points.append(run_point(index, crash_step, point_rng))
     return result
 
@@ -223,28 +228,24 @@ class _Run(NamedTuple):
     ckpt_violations: List[str]
 
 
-def _drive(run: _Run, what: str, max_steps: Optional[int] = None) -> int:
-    """Step ``run`` until its processes finish or ``max_steps`` steps
-    were taken; returns the steps taken."""
-    steps = 0
-    while (not all(proc.triggered for proc in run.procs)
-           and (max_steps is None or steps < max_steps)):
-        if not run.system.sim.step():
-            raise SimulationError(f"{what} drained early")
-        steps += 1
-    return steps
+def _drive(run: _Run, what: str, instants: Optional[int] = None) -> int:
+    """Run ``run`` until its processes finish or ``instants`` simulated
+    instants have fully elapsed; returns the instants entered."""
+    return run_instants(run.system.sim,
+                        lambda: all(proc.triggered for proc in run.procs),
+                        instants, what)
 
 
-def _reference_steps(run: _Run, what: str) -> int:
+def _reference_instants(run: _Run, what: str) -> int:
     """Drive a reference run to completion; it must finish cleanly."""
-    steps = _drive(run, f"{what} reference run")
+    instants = _drive(run, f"{what} reference run")
     for proc in run.procs:
         if not proc.ok:
             raise proc.exception
     if run.ckpt_violations:
         raise SimulationError(f"invariants already broken in reference run: "
                               f"{run.ckpt_violations[:3]}")
-    return steps
+    return instants
 
 
 def _state_digest(versions: Dict[int, int]) -> str:
@@ -383,7 +384,7 @@ def fault_sweep(mode: str, crash_points: int = 20, seed: int = 7,
 
     return run_campaign(
         mode, seed, crash_points, f"fault/{mode}",
-        lambda: _reference_steps(_start(config, ops, ckpt_every),
+        lambda: _reference_instants(_start(config, ops, ckpt_every),
                                  "fault sweep"),
         run_point)
 
@@ -547,5 +548,5 @@ def open_loop_crash_sweep(mode: str, crash_points: int = 12, seed: int = 7,
 
     return run_campaign(
         mode, seed, crash_points, f"open-crash/{mode}",
-        lambda: _reference_steps(start()[0], "open-loop crash sweep"),
+        lambda: _reference_instants(start()[0], "open-loop crash sweep"),
         run_point)

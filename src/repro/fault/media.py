@@ -125,7 +125,7 @@ def media_sweep(mode: str, rates: Tuple[float, ...] = (1e-3, 1e-2),
     — including bad-block quarantine.
     """
     return CampaignResult(
-        mode=mode, seed=seed, total_steps=0,
+        mode=mode, seed=seed, total_instants=0,
         points=[_media_point(mode, rate, seed, ops, num_keys, ckpt_every,
                              tenants)
                 for rate in rates])

@@ -2,10 +2,10 @@
 
 Runs on the fault harness's campaign loop
 (:func:`~repro.fault.harness.run_campaign`): a reference run learns
-the replicated workload's merged-event-step count ``T``, then each
+the replicated workload's merged-time instant count ``T``, then each
 seeded point replays the identical workload on a fresh primary+replica
-pair, power-cuts the primary after ``step ∈ [1, T]`` merged steps, and
-recovers by *both* strategies from the same wreck:
+pair, power-cuts the primary once instant ``k ∈ [1, T]`` has fully
+elapsed, and recovers by *both* strategies from the same wreck:
 
 * **warm** — :meth:`~repro.replication.replica.ReplicatedPair.promote`:
   the already-running replica drains the wire and serves;
@@ -16,7 +16,7 @@ recovers by *both* strategies from the same wreck:
 Both must satisfy the durability contract at every point: zero
 acked-write loss (state ≥ the log folded to the acked offset) and exact
 digest equality at the restored offset.  The campaign digest makes the
-whole thing reproducible: same seed → same crash steps → same digests.
+whole thing reproducible: same seed → same kill instants → same digests.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class CampaignPoint:
     @property
     def label(self) -> str:
         """Where this point sits in its campaign (failure reports)."""
-        return f"point {self.index} (step {self.crash_step})"
+        return f"point {self.index} (instant {self.crash_step})"
 
     @property
     def digest_line(self) -> str:
@@ -217,18 +217,18 @@ def kill_primary_campaign(mode: str = "checkin", crash_points: int = 50,
                              num_keys=num_keys, **config_overrides)
 
     def reference() -> int:
-        """The replicated workload's merged step count."""
+        """The replicated workload's merged-time instant count."""
         pair = ReplicatedPair(config, link=link)
         pair.start()
-        total_steps, _finished = pair.run_workload()
+        instants, _finished = pair.run_workload()
         pair.stop()
-        return total_steps
+        return instants
 
     def run_point(index: int, crash_step: int,
                   rng: SeededRng) -> CampaignPoint:
         pair = ReplicatedPair(config, link=link)
         pair.start()
-        pair.run_workload(kill_step=crash_step)
+        pair.run_workload(kill_instant=crash_step)
         pair.kill_primary(rng.fork("tear"))
         point = CampaignPoint(index=index, crash_step=crash_step,
                               kill_ns=pair.primary.sim.now)

@@ -50,7 +50,7 @@ from repro.fault.crash import CrashReport, power_cut
 from repro.replication.frames import decode_stream
 from repro.replication.ship import JournalShipper, LinkSpec, ReplicationLog
 from repro.replication.store import CheckpointStore
-from repro.sim.core import Event
+from repro.sim.core import Event, run_instants
 from repro.sim.process import Interrupt, Process, spawn
 from repro.system.config import SystemConfig
 from repro.system.system import KvSystem
@@ -339,6 +339,14 @@ class ReplicatedPair:
             return
 
     # -- merged-time drive loop ----------------------------------------
+    def peek(self) -> Optional[int]:
+        """Timestamp of the globally-earliest live event (None: idle)."""
+        t_primary = self.primary.sim.peek()
+        t_replica = self.replica.sim.peek()
+        if t_primary is None or t_replica is None:
+            return t_replica if t_primary is None else t_primary
+        return min(t_primary, t_replica)
+
     def step(self) -> bool:
         """Fire the globally-earliest event across both simulators."""
         t_primary = self.primary.sim.peek()
@@ -359,24 +367,25 @@ class ReplicatedPair:
         if isinstance(event, Process) and not event.ok:
             raise event.exception
 
-    def run_workload(self, kill_step: Optional[int] = None
+    def run_workload(self, kill_instant: Optional[int] = None
                      ) -> Tuple[int, bool]:
         """Drive the primary's client pool; optionally stop early.
 
-        Returns ``(steps_taken, finished)``.  With ``kill_step`` the
-        loop stops after that many merged-time steps — the caller then
-        kills the primary at that exact event boundary (the same
-        arbitrary-boundary discipline as the fault harness).
+        Returns ``(instants, finished)``.  With ``kill_instant`` the loop
+        stops once that many merged-time instants have fully elapsed —
+        the caller then kills the primary at that instant boundary (the
+        crash coordinate of the fault harness).  A run that finishes in
+        fewer instants raises :class:`ReplicationError`: a kill after it
+        would hit an idle primary, not a running workload.
         """
         done = self.primary.make_client_pool().start()
-        steps = 0
-        while not done.triggered:
-            if not self.step():
-                raise SimulationError("event loops drained mid-workload")
-            steps += 1
-            if kill_step is not None and steps >= kill_step:
-                return steps, False
-        return steps, True
+        instants = run_instants(self, lambda: done.triggered, kill_instant,
+                                "merged-time workload")
+        if kill_instant is not None and instants < kill_instant:
+            raise ReplicationError(
+                f"kill instant {kill_instant} is past the end of the run "
+                f"({instants} instants)")
+        return instants, done.triggered
 
     def drain(self, max_steps: int = 2_000_000) -> None:
         """Step both sims until the replica applied + acked the whole

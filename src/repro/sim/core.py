@@ -305,6 +305,35 @@ class Simulator:
             self._dead_timers = 0
 
 
+def run_instants(clock: Any, done: Callable[[], bool],
+                 instants: Optional[int] = None, what: str = "run") -> int:
+    """Fire ``clock``'s callbacks until ``done()`` holds or ``instants``
+    simulated instants have fully elapsed; returns the instants entered.
+
+    ``clock`` is anything with ``peek()`` and ``step()`` — a
+    :class:`Simulator`, or a co-simulated pair stepping merged time.  An
+    instant is one simulated timestamp at which callbacks fire; it has
+    fully elapsed once the next callback is due later, so the loop stops
+    right before that callback.  This is the crash and kill coordinate of
+    every campaign: how the kernel splits the work of one instant into
+    steps cannot move it, only simulated time can.  Raises when the
+    queues drain before ``done()`` holds.
+    """
+    entered = 0
+    current: Optional[int] = None
+    while not done():
+        when = clock.peek()
+        if when is None:
+            raise SimulationError(f"{what} drained early")
+        if when != current:
+            if entered == instants:
+                break
+            entered += 1
+            current = when
+        clock.step()
+    return entered
+
+
 class _Timer:
     """Handle for a callback queued by :meth:`Simulator.schedule`."""
 

@@ -148,7 +148,7 @@ class TestSweep:
     @pytest.mark.parametrize("mode", ["baseline", "isc_c", "checkin"])
     def test_small_sweep_passes(self, mode):
         sweep = fault_sweep(mode=mode, crash_points=6, seed=13, ops=90)
-        assert sweep.total_steps > 0
+        assert sweep.total_instants > 0
         assert sweep.ok, sweep.failures()[0]
 
     def test_sweep_is_deterministic(self):
@@ -158,19 +158,20 @@ class TestSweep:
             [r.crash_step for r in second.points]
         assert first.digest() == second.digest()
 
-    @pytest.mark.parametrize("mode,steps,digest", [
-        ("baseline", 5159, "22338bf179232ee0"),
-        ("isc_c", 3419, "f8d929d600858c0a"),
-        ("checkin", 2577, "f16d123bd0413599"),
+    @pytest.mark.parametrize("mode,instants,digest", [
+        ("baseline", 1804, "ef5b791f568d196f"),
+        ("isc_c", 1205, "ebbfc4f69668bb25"),
+        ("checkin", 1004, "00d30fefb94e5cc4"),
     ])
-    def test_sweep_matches_golden_digest(self, mode, steps, digest):
+    def test_sweep_matches_golden_digest(self, mode, instants, digest):
         """Pinned values of ``repro fault-sweep --crash-points 50 --seed 7``.
 
-        Same-code reruns cannot see a kernel change that reorders events
-        deterministically; the step count and digest are fixed values.
+        Same-code reruns cannot see a change that moves simulated
+        outcomes deterministically; the instant count and digest are
+        fixed values.
         """
         sweep = fault_sweep(mode=mode, crash_points=50, seed=7)
-        assert sweep.total_steps == steps
+        assert sweep.total_instants == instants
         assert sweep.digest() == digest
 
     def test_crashes_destroy_live_state(self):

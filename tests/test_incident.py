@@ -148,7 +148,7 @@ class TestPairBundle:
         config = campaign_config(ops=120, flightrec=True)
         pair = ReplicatedPair(config)
         pair.start()
-        pair.run_workload(kill_step=80)
+        pair.run_workload(kill_instant=80)
         pair.kill_primary(SeededRng(7).fork("incident-test"))
         pair.promote()
         return pair_incident_records(pair)

@@ -161,15 +161,15 @@ class TestCrashMidBurst:
         second = open_loop_crash_sweep("checkin", crash_points=4)
         assert first.digest() == second.digest()
 
-    @pytest.mark.parametrize("mode,steps,digest", [
-        ("baseline", 2524, "046376a605e423da"),
-        ("isc_c", 667, "7e1315dd21185f1d"),
-        ("checkin", 480, "18e62441922bb44e"),
+    @pytest.mark.parametrize("mode,instants,digest", [
+        ("baseline", 912, "bdbdba19aa89db4d"),
+        ("isc_c", 321, "5faf92b083d0a9ba"),
+        ("checkin", 273, "e314ae518270b973"),
     ])
-    def test_sweep_matches_golden_digest(self, mode, steps, digest):
+    def test_sweep_matches_golden_digest(self, mode, instants, digest):
         """Pinned values at the defaults (12 points, seed 7): a change
         that reorders events or loses a shed shows here, where a
         same-code rerun cannot see it."""
         sweep = open_loop_crash_sweep(mode)
-        assert sweep.total_steps == steps
+        assert sweep.total_instants == instants
         assert sweep.digest() == digest

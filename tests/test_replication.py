@@ -199,7 +199,7 @@ class TestShipping:
 class TestPromote:
     def test_kill_and_promote_loses_no_acked_write(self):
         pair = _pair()
-        pair.run_workload(kill_step=1_800)
+        assert pair.run_workload(kill_instant=600) == (600, False)
         pair.kill_primary(SeededRng(3).fork("tear"))
         report = pair.promote()
         assert report.contract_ok
@@ -213,7 +213,7 @@ class TestPromote:
 
     def test_cold_restore_matches_fold(self):
         pair = _pair()
-        pair.run_workload(kill_step=1_800)
+        assert pair.run_workload(kill_instant=600) == (600, False)
         pair.kill_primary(SeededRng(3).fork("tear"))
         report = cold_restore(pair)
         assert report.contract_ok
@@ -222,6 +222,16 @@ class TestPromote:
             len(pair.log.fold(report.acked_offset)) > 0
         assert report.rto_ns > 0
         pair.stop()
+
+    def test_kill_past_the_end_rejected(self):
+        """A kill instant the run never reaches is an error, not a kill
+        of an idle primary after the workload."""
+        instants, finished = _pair().run_workload()
+        assert finished
+        with pytest.raises(ReplicationError, match="past the end"):
+            _pair().run_workload(kill_instant=instants + 1)
+        assert _pair().run_workload(kill_instant=instants) == \
+            (instants, True)
 
     def test_cold_restore_requires_kill(self):
         pair = _pair()
@@ -247,7 +257,7 @@ class TestCampaign:
         """Pinned value of ``repro replicate --campaign 50 --seed 7``."""
         result = kill_primary_campaign(mode="checkin", crash_points=50,
                                        seed=7)
-        assert result.digest() == "fbf2dd890a34cad7"
+        assert result.digest() == "2d605987a7db939d"
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ReplicationError):

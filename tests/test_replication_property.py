@@ -41,13 +41,13 @@ def test_promote_contract_holds(seed, kill_frac, queue_depth):
     link = LinkSpec(queue_depth=queue_depth)
     reference = ReplicatedPair(config, link=link)
     reference.start()
-    total_steps, _ = reference.run_workload()
+    total_instants, _ = reference.run_workload()
     reference.stop()
 
     pair = ReplicatedPair(config, link=link)
     pair.start()
-    kill_step = max(1, int(total_steps * kill_frac))
-    pair.run_workload(kill_step=kill_step)
+    kill_instant = max(1, int(total_instants * kill_frac))
+    pair.run_workload(kill_instant=kill_instant)
     from repro.common.rng import SeededRng
     pair.kill_primary(SeededRng(seed).fork("property-tear"))
     report = pair.promote()
