@@ -436,11 +436,7 @@ def _cmd_incident(args: argparse.Namespace) -> int:
     started = time.time()
 
     if args.kill_at is not None:
-        try:
-            records, result = _run_pair_incident(args)
-        except ReplicationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        records, result = _run_pair_incident(args)
     else:
         records, result = _run_node_incident(args)
     elapsed = time.time() - started
@@ -792,11 +788,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         kill_instant = max(1, int(total_instants * args.kill_frac))
     pair = ReplicatedPair(config, link=link, semi_sync=args.semi_sync)
     pair.start()
-    try:
-        pair.run_workload(kill_instant=kill_instant)
-    except ReplicationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    pair.run_workload(kill_instant=kill_instant)
     pair.kill_primary(SeededRng(args.seed).fork("replicate-cli"))
     print(f"primary killed at instant {kill_instant} "
           f"(t={pair.primary.sim.now / 1e6:.3f} ms): "
@@ -1184,6 +1176,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
+    except ReplicationError as exc:  # e.g. a kill instant past the run
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Output piped into e.g. `head`; exiting quietly is the Unix way.
         import os

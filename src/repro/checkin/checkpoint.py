@@ -23,8 +23,8 @@ from typing import Any, Dict, Generator, List, Tuple
 from repro.checkin.format import extract_from_span
 from repro.common.units import SECTOR_SIZE
 from repro.ftl.ftl import Ftl
-from repro.sim.core import Simulator, all_of
-from repro.sim.process import spawn
+from repro.sim.core import Simulator
+from repro.sim.process import pooled
 from repro.ssd.commands import CowEntry
 
 
@@ -142,18 +142,15 @@ class CheckpointProcessor:
             for i in range(run_len):
                 buffered[run_start + i] = tags[i]
 
-        readers = [spawn(self.sim, read_run(start, length),
-                         name=f"cow-read@{start}")
-                   for start, length in runs]
-        if readers:
-            yield all_of(self.sim, readers)
+        yield from pooled(self.sim, [read_run(start, length)
+                                     for start, length in runs],
+                          len(runs), "cow-read")
 
         # Phase 2: write every destination range through the normal path —
         # ascending target order so neighbouring records coalesce, with a
         # small worker pool so back-pressure waits overlap.
         copied_units = 0
         entries = sorted(entries, key=lambda e: e.dst_lba)
-        queue = list(reversed(entries))
 
         def write_one(entry: CowEntry):
             if entry.src_offset == 0 and entry.length_bytes is None \
@@ -179,15 +176,8 @@ class CheckpointProcessor:
             if delay:
                 yield delay
 
-        def worker():
-            while queue:
-                entry = queue.pop()
-                yield from write_one(entry)
-
-        writers = [spawn(self.sim, worker(), name=f"cow-write{i}")
-                   for i in range(min(8, len(entries)))]
-        if writers:
-            yield all_of(self.sim, writers)
+        yield from pooled(self.sim, [write_one(entry) for entry in entries],
+                          8, "cow-write")
         for entry in entries:
             copied_units += len(self.ftl.lpn_span(entry.dst_lba, entry.nsectors))
         return copied_units

@@ -28,8 +28,8 @@ from repro.common.errors import CheckpointMediaError
 from repro.common.units import ceil_div
 from repro.engine.journal import FrozenEpoch
 from repro.engine.records import JournalEntry
-from repro.sim.core import Simulator, all_of
-from repro.sim.process import spawn
+from repro.sim.core import Simulator
+from repro.sim.process import pooled
 from repro.ssd.commands import Command, CowEntry, Op, Status, write_command
 from repro.ssd.ssd import Ssd
 
@@ -139,13 +139,13 @@ class CheckpointStrategy(abc.ABC):
             return
         span = self._phase(trace_parent, "load_program",
                            bytes=self.OFFLOAD_PROGRAM_SECTORS * 512)
-        yield self.ssd.submit(Command(op=Op.LOAD_PROGRAM,
-                                      nsectors=self.OFFLOAD_PROGRAM_SECTORS,
-                                      span=span))
+        yield from self.ssd.run(Command(op=Op.LOAD_PROGRAM,
+                                        nsectors=self.OFFLOAD_PROGRAM_SECTORS,
+                                        span=span))
         self._phase_end(span)
 
-    def _submit_reliable(self, make_command: Any) -> Generator[Any, Any, Any]:
-        """Submit via a fresh-command factory, re-issuing on media errors.
+    def _run_reliable(self, make_command: Any) -> Generator[Any, Any, Any]:
+        """Run a fresh command from the factory, re-issuing on media errors.
 
         Checkpoint commands are idempotent over a frozen epoch, so a
         whole-command retry is always safe.  Raises
@@ -155,7 +155,7 @@ class CheckpointStrategy(abc.ABC):
         """
         attempts = 0
         while True:
-            completion = yield self.ssd.submit(make_command())
+            completion = yield from self.ssd.run(make_command())
             if completion.ok:
                 return completion
             if completion.status is Status.MEDIA_ERROR \
@@ -169,18 +169,8 @@ class CheckpointStrategy(abc.ABC):
 
     def _pooled(self, jobs: List[Any]) -> Generator[Any, Any, None]:
         """Run generator jobs with bounded concurrency."""
-        width = max(1, self.policy.parallelism)
-        queue = list(reversed(jobs))
-
-        def worker():
-            while queue:
-                job = queue.pop()
-                yield from job
-
-        workers = [spawn(self.sim, worker(), name=f"ckpt-worker{i}")
-                   for i in range(min(width, len(jobs)))]
-        if workers:
-            yield all_of(self.sim, workers)
+        return pooled(self.sim, jobs, max(1, self.policy.parallelism),
+                      "ckpt-worker")
 
     def _write_host_metadata(self, report: CheckpointReport,
                              entry_count: int,
@@ -198,8 +188,8 @@ class CheckpointStrategy(abc.ABC):
             cmd.span = span
             return cmd
 
-        yield from self._submit_reliable(meta_cmd)
-        yield self.ssd.submit(Command(op=Op.FLUSH, span=span))
+        yield from self._run_reliable(meta_cmd)
+        yield from self.ssd.run(Command(op=Op.FLUSH, span=span))
         report.write_commands += 1
         self._phase_end(span)
 
@@ -214,9 +204,9 @@ class CheckpointStrategy(abc.ABC):
             return
         op = Op.DELETE_LOGS if via_isce else Op.TRIM
         span = self._phase(trace_parent, "dealloc", lba=lba, nsectors=nsectors)
-        completion = yield self.ssd.submit(Command(op=op, lba=lba,
-                                                   nsectors=nsectors,
-                                                   span=span))
+        completion = yield from self.ssd.run(Command(op=op, lba=lba,
+                                                     nsectors=nsectors,
+                                                     span=span))
         if not completion.ok:
             # The checkpoint itself is already durable; a failed
             # deallocation only leaves stale journal sectors for GC to
@@ -261,7 +251,7 @@ class BaselineCheckpointer(CheckpointStrategy):
                                entries=len(latest))
 
         def read_job(index: int, entry: JournalEntry):
-            completion = yield from self._submit_reliable(lambda: Command(
+            completion = yield from self._run_reliable(lambda: Command(
                 op=Op.READ, lba=entry.journal_lba,
                 nsectors=entry.journal_nsectors, span=readback,
                 cause="ckpt_read"))
@@ -290,7 +280,7 @@ class BaselineCheckpointer(CheckpointStrategy):
                 cmd.span = data_write
                 return cmd
 
-            yield from self._submit_reliable(make_cmd)
+            yield from self._run_reliable(make_cmd)
             report.write_commands += 1
 
         ordered = sorted(range(len(latest)), key=lambda i: latest[i].target_lba)
@@ -324,7 +314,7 @@ class IscACheckpointer(CheckpointStrategy):
                                entries=len(latest))
 
         def cow_job(entry: JournalEntry):
-            completion = yield from self._submit_reliable(lambda: Command(
+            completion = yield from self._run_reliable(lambda: Command(
                 op=Op.COW, entries=(cow_entry_for(entry),), span=cow_span))
             report.cow_commands += 1
             report.remapped_units += completion.remapped_units
@@ -377,7 +367,7 @@ class IscBCheckpointer(CheckpointStrategy):
 
         def batch_job(batch: List[JournalEntry]):
             entries = tuple(cow_entry_for(entry) for entry in batch)
-            completion = yield from self._submit_reliable(
+            completion = yield from self._run_reliable(
                 lambda: Command(op=op, entries=entries, span=cow_span))
             report.cow_commands += 1
             report.remapped_units += completion.remapped_units

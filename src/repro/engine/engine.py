@@ -432,7 +432,7 @@ class StorageEngine:
             if blame is not None:
                 blame.skip()
                 command.blame = StageClock(self.sim)
-            completion = yield self.ssd.submit(command)
+            completion = yield from self.ssd.run(command)
             if blame is not None:
                 fold_completion(blame, command.blame,
                                 "ctrl_cpu" if completion.ok

@@ -299,7 +299,7 @@ class JournalManager:
             command.span = span
             if ledgers:
                 command.blame = StageClock(self.sim)
-            completion = yield self.ssd.submit(command)
+            completion = yield from self.ssd.run(command)
             # Every batch member waited this same absolute window; the
             # device breakdown folds into each ledger, leaving the
             # host-side residual to journal_commit (media_retry when the

@@ -227,35 +227,21 @@ def timed_restart(engine: StorageEngine,
     chunk = 256 if device_preread else 8
     commands = 0
     sectors_read = 0
-    from repro.sim.core import all_of
-    from repro.sim.process import spawn
-
-    def read_chunk(lba: int, nsectors: int):
-        yield engine.ssd.submit(Command(op=Op.READ, lba=lba,
-                                        nsectors=nsectors))
+    from repro.sim.process import pooled
 
     pending = []
     for start, length in mapped_runs:
         offset = 0
         while offset < length:
             nsectors = min(chunk, length - offset)
-            pending.append(read_chunk(start + offset, nsectors))
+            pending.append(engine.ssd.run(Command(
+                op=Op.READ, lba=start + offset, nsectors=nsectors)))
             commands += 1
             sectors_read += nsectors
             offset += nsectors
 
-    width = 32 if device_preread else 4
-    queue = list(reversed(pending))
-
-    def worker():
-        while queue:
-            job = queue.pop()
-            yield from job
-
-    workers = [spawn(sim, worker(), name=f"recovery{i}")
-               for i in range(min(width, len(pending)) or 1)]
-    if pending:
-        yield all_of(sim, workers)
+    yield from pooled(sim, pending, 32 if device_preread else 4,
+                      "recovery")
     return RecoveryTiming(duration_ns=sim.now - started,
                           journal_sectors_read=sectors_read,
                           read_commands=commands)

@@ -1,11 +1,11 @@
 """Crash-consistency fault injection and invariant checking.
 
 The harness pulls the plug on a running :class:`~repro.system.KvSystem`
-at the end of a seeded simulated instant, discards everything a power cut destroys
-(in-flight flash programs tear at unit granularity, DRAM structures
-vanish, the capacitor-backed buffers survive), re-runs the recovery
-procedures of §III-G against the post-crash image, and asserts that the
-recovered KV state matches what was durably committed.
+at the end of a seeded simulated instant, discards everything a power
+cut destroys (in-flight flash programs tear at unit granularity, DRAM
+structures vanish, the capacitor-backed buffers survive), re-runs the
+recovery procedures of §III-G against the post-crash image, and asserts
+that the recovered KV state matches what was durably committed.
 """
 
 from repro.fault.crash import CrashReport, power_cut, recover_device

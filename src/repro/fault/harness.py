@@ -207,8 +207,8 @@ def run_campaign(mode: str, seed: int, crash_points: int, namespace: str,
     ``reference()`` runs the workload once and returns its instant
     count ``T``; ``run_point(index, crash_step, rng)`` then replays it on
     a fresh system, cut after instant ``crash_step``, for each seeded
-    point of :func:`iter_crash_points` and returns the point's result (anything with ``ok`` and
-    ``digest_line``).
+    point of :func:`iter_crash_points` and returns the point's result
+    (anything with ``ok`` and ``digest_line``).
     """
     result = CampaignResult(mode=mode, seed=seed, total_instants=reference())
     for index, crash_step, point_rng in iter_crash_points(

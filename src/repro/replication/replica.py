@@ -43,7 +43,6 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 from repro.common.errors import (
     ConfigError,
     ReplicationError,
-    SimulationError,
     SnapshotFrameError,
 )
 from repro.fault.crash import CrashReport, power_cut
@@ -341,11 +340,9 @@ class ReplicatedPair:
     # -- merged-time drive loop ----------------------------------------
     def peek(self) -> Optional[int]:
         """Timestamp of the globally-earliest live event (None: idle)."""
-        t_primary = self.primary.sim.peek()
-        t_replica = self.replica.sim.peek()
-        if t_primary is None or t_replica is None:
-            return t_replica if t_primary is None else t_primary
-        return min(t_primary, t_replica)
+        return min((t for t in (self.primary.sim.peek(),
+                                self.replica.sim.peek()) if t is not None),
+                   default=None)
 
     def step(self) -> bool:
         """Fire the globally-earliest event across both simulators."""
@@ -360,24 +357,17 @@ class ReplicatedPair:
 
     def run_until(self, event: Any, name: str = "event") -> None:
         """Drive both loops until ``event`` resolves."""
-        while not event.triggered:
-            if not self.step():
-                raise SimulationError(
-                    f"both event loops drained waiting for {name}")
+        run_instants(self, lambda: event.triggered, what=name)
         if isinstance(event, Process) and not event.ok:
             raise event.exception
 
     def run_workload(self, kill_instant: Optional[int] = None
                      ) -> Tuple[int, bool]:
-        """Drive the primary's client pool; optionally stop early.
-
-        Returns ``(instants, finished)``.  With ``kill_instant`` the loop
-        stops once that many merged-time instants have fully elapsed —
-        the caller then kills the primary at that instant boundary (the
-        crash coordinate of the fault harness).  A run that finishes in
-        fewer instants raises :class:`ReplicationError`: a kill after it
-        would hit an idle primary, not a running workload.
-        """
+        """Drive the primary's client pool; returns ``(instants,
+        finished)``.  With ``kill_instant`` it stops once that many
+        merged-time instants have fully elapsed, for the caller to kill
+        the primary; a run that ends sooner raises
+        :class:`ReplicationError` (the kill would hit an idle primary)."""
         done = self.primary.make_client_pool().start()
         instants = run_instants(self, lambda: done.triggered, kill_instant,
                                 "merged-time workload")
@@ -433,17 +423,11 @@ class ReplicatedPair:
         replica = self.replica
         # 1. Drain the wire and the apply queue: process replica events
         #    while batches remain in flight or mid-apply.
-        while True:
-            if self.applier.queue or self.applier.busy:
-                if not replica.sim.step():
-                    raise SimulationError(
-                        "replica drained mid-apply during promote")
-                continue
+        def drained() -> bool:
             upcoming = replica.sim.peek()
-            if upcoming is not None and upcoming <= self._last_delivery_ns:
-                replica.sim.step()
-                continue
-            break
+            return not (self.applier.queue or self.applier.busy) and (
+                upcoming is None or upcoming > self._last_delivery_ns)
+        run_instants(replica.sim, drained, what="replica mid-apply")
         # 2. Failover detection: the replica only *decides* to promote
         #    after the health-check timeout elapses.
         t_ready = max(replica.sim.now, t_kill + failover_detect_ns)

@@ -307,20 +307,12 @@ class Simulator:
 
 def run_instants(clock: Any, done: Callable[[], bool],
                  instants: Optional[int] = None, what: str = "run") -> int:
-    """Fire ``clock``'s callbacks until ``done()`` holds or ``instants``
-    simulated instants have fully elapsed; returns the instants entered.
-
-    ``clock`` is anything with ``peek()`` and ``step()`` — a
-    :class:`Simulator`, or a co-simulated pair stepping merged time.  An
-    instant is one simulated timestamp at which callbacks fire; it has
-    fully elapsed once the next callback is due later, so the loop stops
-    right before that callback.  This is the crash and kill coordinate of
-    every campaign: how the kernel splits the work of one instant into
-    steps cannot move it, only simulated time can.  Raises when the
-    queues drain before ``done()`` holds.
-    """
-    entered = 0
-    current: Optional[int] = None
+    """Step ``clock`` (anything with ``peek``/``step``) until ``done()``
+    or until ``instants`` simulated instants have fully elapsed, i.e.
+    right before the first callback due later; returns the instants
+    entered.  The crash and kill coordinate of every campaign: kernel
+    steps within an instant cannot move it."""
+    entered, current = 0, None
     while not done():
         when = clock.peek()
         if when is None:
@@ -328,8 +320,7 @@ def run_instants(clock: Any, done: Callable[[], bool],
         if when != current:
             if entered == instants:
                 break
-            entered += 1
-            current = when
+            entered, current = entered + 1, when
         clock.step()
     return entered
 

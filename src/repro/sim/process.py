@@ -16,10 +16,10 @@ re-raised out of :meth:`Simulator.run` unless the process is ``defused``.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional, Tuple, Union
+from typing import Any, Generator, List, Optional, Tuple, Union
 
 from repro.common.errors import PowerLossError, SimulationError
-from repro.sim.core import GRANTED, Event, Simulator
+from repro.sim.core import GRANTED, Event, Simulator, all_of
 
 ProcessGenerator = Generator[Union[int, Event], Any, Any]
 
@@ -197,6 +197,22 @@ def _on_grant(token: Tuple[Process]) -> None:
 def spawn(sim: Simulator, generator: ProcessGenerator, name: str = "process") -> Process:
     """Start a new process running ``generator``."""
     return Process(sim, generator, name=name)
+
+
+def pooled(sim: Simulator, jobs: List[ProcessGenerator], width: int,
+           name: str = "worker") -> Generator[Any, Any, None]:
+    """Run generator ``jobs`` in order on at most ``width`` worker
+    processes; returns once every job has finished."""
+    queue = list(reversed(jobs))
+
+    def worker() -> ProcessGenerator:
+        while queue:
+            yield from queue.pop()
+
+    workers = [spawn(sim, worker(), name=f"{name}{i}")
+               for i in range(min(width, len(jobs)))]
+    if workers:
+        yield all_of(sim, workers)
 
 
 def sleep_event(sim: Simulator, delay: int) -> Event:

@@ -25,7 +25,7 @@ from repro.common.errors import (
 )
 from repro.common.units import US
 from repro.ftl.ftl import Ftl
-from repro.sim.core import Event, Simulator
+from repro.sim.core import Simulator
 from repro.sim.process import spawn
 from repro.sim.resources import Resource
 from repro.sim.stats import TimeWeightedGauge
@@ -195,21 +195,17 @@ class SsdController:
         command.nsid = resolved
         return resolved
 
-    def submit(self, command: Command) -> Event:
-        """Submit a command; the returned event carries a Completion.
+    def run(self, command: Command) -> Generator[Any, Any, Completion]:
+        """Run ``command`` in the submitting process; returns its
+        :class:`Completion`.
 
-        Namespace containment is enforced here, synchronously, before the
-        command costs any simulated time: a tenant can never even enqueue
-        I/O against another tenant's range.
+        Namespace containment is enforced first, before the command costs
+        any simulated time or takes a queue slot: a tenant can never even
+        enqueue I/O against another tenant's range.  Media and capacity
+        faults end in a completion status (:meth:`_dispatch_with_retry`);
+        any other exception propagates to the submitter.
         """
         self._check_namespace(command)
-        done = self.sim.event()
-        spawn(self.sim, self._handle(command, done),
-              name=f"cmd-{command.op.value}")
-        return done
-
-    def _handle(self, command: Command,
-                done: Event) -> Generator[Any, Any, None]:
         submitted_at = self.sim.now
         is_user = command.op in (Op.READ, Op.WRITE, Op.FLUSH, Op.TRIM)
         is_ckpt = (command.op in (Op.COW, Op.COW_MULTI, Op.CHECKPOINT,
@@ -270,12 +266,7 @@ class SsdController:
                 if blame is not None:
                     blame.lap("ctrl_bus")
             completion.completed_at = self.sim.now
-            done.succeed(completion)
-        except BaseException as exc:  # noqa: BLE001 - surfaced to submitter
-            if not done.triggered:
-                done.fail(exc)
-            else:
-                raise
+            return completion
         finally:
             self._outstanding -= 1
             if is_ckpt:
@@ -288,6 +279,8 @@ class SsdController:
             self.interface.release_slot()
             if span is not None and span.end_ns is None:
                 tracer.end(span)
+
+    _handle = run  # the name perfbench/layers.py wraps; nothing calls it
 
     # ------------------------------------------------------------------
     # dispatch with media-error containment

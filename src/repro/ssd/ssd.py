@@ -15,7 +15,7 @@ from repro.flash.geometry import FlashGeometry
 from repro.flash.media import MediaErrorConfig, MediaErrorModel
 from repro.flash.timing import FlashTiming
 from repro.ftl.ftl import Ftl, FtlConfig
-from repro.sim.core import Event, Simulator
+from repro.sim.core import Simulator
 from repro.sim.stats import StatRegistry
 from repro.common.errors import ConfigError
 from repro.ssd.commands import Command, Completion, Op
@@ -131,26 +131,27 @@ class Ssd:
         """Why the device degraded ('' while healthy)."""
         return self.ftl.degraded_reason
 
-    def submit(self, command: Command) -> Event:
-        """Submit a command; event resolves with a Completion."""
-        return self.controller.submit(command)
+    def run(self, command: Command) -> Generator[Any, Any, Completion]:
+        """``yield from`` it to run ``command``; returns its Completion."""
+        return self.controller.run(command)
+
+    submit = run  # the name perfbench/layers.py wraps; nothing calls it
 
     # -- convenience wrappers used by tests and examples -----------------
-    # Both go through ``self.submit``, so a NamespaceHandle reuses them.
+    # Both go through ``self.run``, so a NamespaceHandle reuses them.
     def read(self, lba: int, nsectors: int) -> Generator[Any, Any, List[Any]]:
         """Read tags for a sector range."""
-        completion = yield self.submit(Command(op=Op.READ, lba=lba,
-                                               nsectors=nsectors))
+        completion = yield from self.run(Command(op=Op.READ, lba=lba,
+                                                 nsectors=nsectors))
         return completion.tags
 
     def write(self, lba: int, nsectors: int, tags=None, fua: bool = False,
               stream: str = "data",
               cause: str = "host") -> Generator[Any, Any, Completion]:
         """Write a sector range."""
-        completion = yield self.submit(Command(
+        return (yield from self.run(Command(
             op=Op.WRITE, lba=lba, nsectors=nsectors, tags=tags, fua=fua,
-            stream=stream, cause=cause))
-        return completion
+            stream=stream, cause=cause)))
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -172,7 +173,7 @@ class NamespaceHandle:
     """One tenant's view of a shared namespaced device.
 
     Wraps an :class:`Ssd` and stamps the tenant's namespace id on every
-    submitted command, so the controller can verify the addressed range
+    command it runs, so the controller can verify the addressed range
     against the submitter's identity (not just the range's owner).  All
     other attributes delegate to the underlying device — a handle is a
     drop-in ``ssd`` for :class:`repro.engine.engine.StorageEngine`.
@@ -182,12 +183,12 @@ class NamespaceHandle:
         self.device = device
         self.nsid = nsid
 
-    def submit(self, command: Command) -> Event:
-        """Stamp the namespace id and submit to the shared controller."""
+    def run(self, command: Command) -> Generator[Any, Any, Completion]:
+        """Stamp the namespace id and run on the shared controller."""
         if command.nsid is None and command.op not in (Op.FLUSH,
                                                        Op.LOAD_PROGRAM):
             command.nsid = self.nsid
-        return self.device.submit(command)
+        return self.device.run(command)
 
     read = Ssd.read
     write = Ssd.write

@@ -11,14 +11,35 @@ from repro.fault import (
     power_cut,
     recover_device,
 )
-from repro.fault.harness import _start, _sweep_config
+from repro.common.rng import SeededRng
+from repro.fault.harness import (
+    CrashPointResult,
+    _cut_and_verify,
+    _drive,
+    _start,
+    _sweep_config,
+)
 from repro.flash.array import FlashArray
 from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import FlashTiming
 from repro.ftl.ftl import FtlConfig
 from repro.sim import Simulator, spawn
+from repro.replication.campaign import kill_primary_campaign
 from repro.ssd.commands import Command, Op
+from repro.ssd.controller import SsdController
 from repro.ssd.ssd import Ssd, SsdSpec
+
+SWEEP_PINS = {
+    "baseline": (1804, "ef5b791f568d196f"),
+    "isc_c": (1205, "ebbfc4f69668bb25"),
+    "checkin": (1004, "00d30fefb94e5cc4"),
+}
+"""``repro fault-sweep --crash-points 50 --seed 7``: reference-run
+instants and campaign digest per mode."""
+
+KILL_CAMPAIGN_PIN = "2d605987a7db939d"
+"""``repro replicate --campaign 50 --seed 7`` (also pinned in
+``test_replication.py``)."""
 
 
 class FixedRng:
@@ -131,7 +152,8 @@ class TestHandoffWindow:
         ssd = Ssd(sim, SsdSpec(ftl=FtlConfig(mapping_unit=4096)))
         spu = ssd.ftl.sectors_per_unit
         tags = [f"t{i}" for i in range(spu)]
-        done = ssd.submit(Command(op=Op.WRITE, lba=0, nsectors=spu, tags=tags))
+        done = spawn(sim, ssd.run(Command(op=Op.WRITE, lba=0, nsectors=spu,
+                                          tags=tags)))
         hit_window = False
         while not done.triggered:
             assert sim.step()
@@ -158,12 +180,8 @@ class TestSweep:
             [r.crash_step for r in second.points]
         assert first.digest() == second.digest()
 
-    @pytest.mark.parametrize("mode,instants,digest", [
-        ("baseline", 1804, "ef5b791f568d196f"),
-        ("isc_c", 1205, "ebbfc4f69668bb25"),
-        ("checkin", 1004, "00d30fefb94e5cc4"),
-    ])
-    def test_sweep_matches_golden_digest(self, mode, instants, digest):
+    @pytest.mark.parametrize("mode", sorted(SWEEP_PINS))
+    def test_sweep_matches_golden_digest(self, mode):
         """Pinned values of ``repro fault-sweep --crash-points 50 --seed 7``.
 
         Same-code reruns cannot see a change that moves simulated
@@ -171,8 +189,7 @@ class TestSweep:
         fixed values.
         """
         sweep = fault_sweep(mode=mode, crash_points=50, seed=7)
-        assert sweep.total_instants == instants
-        assert sweep.digest() == digest
+        assert (sweep.total_instants, sweep.digest()) == SWEEP_PINS[mode]
 
     def test_crashes_destroy_live_state(self):
         """The sweep must not be vacuous: plugs are pulled while processes
@@ -216,6 +233,85 @@ class TestSweep:
         ftl._staged_oob.clear()
         rebuilt = recover_device(system)
         assert rebuilt != before
+
+
+class TestCrashCoordinate:
+    """A crash point is the end of a simulated instant, not a kernel step."""
+
+    def test_instant_end_cut_matches_every_step_inside_it(self):
+        """Completeness: instants skip no distinguishable state.  Cutting
+        after any kernel step recovers the same state as cutting at the
+        end of that step's instant, and every write acked at the step is
+        still acked, at least as new, at the instant's end.  Only the
+        order of events inside one instant goes unvisited."""
+        config = _sweep_config("checkin", seed=7, num_keys=16)
+        ops, ckpt_every = 20, 10
+
+        def cut(run):
+            acked = dict(run.ackeds[0])
+            point = _cut_and_verify(run, SeededRng(7).fork("tear"),
+                                    CrashPointResult())
+            assert point.ok, point.problems()
+            return point.recovered_digest, acked
+
+        run = _start(config, ops, ckpt_every)
+        instant_of_step = []
+        times = []
+        while not all(proc.triggered for proc in run.procs):
+            assert run.system.sim.step()
+            if not times or run.system.sim.now != times[-1]:
+                times.append(run.system.sim.now)
+            instant_of_step.append(len(times))
+        assert run.system.engine.checkpoint_reports  # a checkpoint ran
+        at_end = {}
+        for instant in range(1, len(times) + 1):
+            run = _start(config, ops, ckpt_every)
+            assert _drive(run, "instant cut", instant) == instant
+            at_end[instant] = cut(run)
+        inner = 0
+        for step, instant in enumerate(instant_of_step, 1):
+            if step == len(instant_of_step) \
+                    or instant_of_step[step] != instant:
+                continue  # the instant's last step: the same cut
+            inner += 1
+            run = _start(config, ops, ckpt_every)
+            for _ in range(step):
+                run.system.sim.step()
+            digest, acked = cut(run)
+            end_digest, end_acked = at_end[instant]
+            assert digest == end_digest, (step, instant)
+            assert all(end_acked.get(key, -1) >= version
+                       for key, version in acked.items()), (step, instant)
+        assert inner > len(times) // 2
+
+    def test_extra_zero_time_hop_moves_no_pin(self, monkeypatch):
+        """Kernel independence: one more zero-time hop in every device
+        command changes the kernel's step count but no simulated time,
+        so no crash point and no campaign digest moves."""
+        config = _sweep_config("checkin", seed=7, num_keys=64)
+
+        def reference_steps():
+            run = _start(config, 120, 40)
+            steps = 0
+            while not all(proc.triggered for proc in run.procs):
+                assert run.system.sim.step()
+                steps += 1
+            return steps
+
+        steps = reference_steps()
+        run = SsdController.run
+
+        def hopping_run(controller, command):
+            yield 0
+            return (yield from run(controller, command))
+
+        monkeypatch.setattr(SsdController, "run", hopping_run)
+        assert reference_steps() > steps
+        sweep = fault_sweep(mode="checkin", crash_points=50, seed=7)
+        assert (sweep.total_instants, sweep.digest()) == \
+            SWEEP_PINS["checkin"]
+        assert kill_primary_campaign(mode="checkin", crash_points=50,
+                                     seed=7).digest() == KILL_CAMPAIGN_PIN
 
 
 class TestTenantSweep:

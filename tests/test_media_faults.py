@@ -71,7 +71,7 @@ class TestTypedCompletions:
 
         def driver():
             for lba in range(0, 80, 8):
-                completion = yield ssd.submit(
+                completion = yield from ssd.run(
                     Command(op=Op.READ, lba=lba, nsectors=8))
                 completions.append(completion)
 
@@ -93,7 +93,7 @@ class TestTypedCompletions:
         def driver():
             results = []
             for lba in range(0, 80, 8):
-                completion = yield ssd.submit(
+                completion = yield from ssd.run(
                     Command(op=Op.READ, lba=lba, nsectors=8))
                 results.append(completion)
             return results
@@ -113,7 +113,7 @@ class TestTypedCompletions:
 
         def driver():
             for lba in range(0, 80, 8):
-                yield ssd.submit(Command(op=Op.READ, lba=lba, nsectors=8))
+                yield from ssd.run(Command(op=Op.READ, lba=lba, nsectors=8))
 
         proc = spawn(sim, driver())
         sim.run()

@@ -254,8 +254,8 @@ class TestBadBlockManagement:
         ssd.ftl.enter_degraded("test: spares exhausted")
 
         def proc():
-            write = yield ssd.submit(Command(op=Op.WRITE, lba=64,
-                                             nsectors=8, tags=["x"] * 8))
+            write = yield from ssd.run(Command(op=Op.WRITE, lba=64,
+                                               nsectors=8, tags=["x"] * 8))
             tags = yield from ssd.read(0, 8)
             return write, tags
 

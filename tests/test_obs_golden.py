@@ -65,25 +65,25 @@ SEMI_SYNC = "semi_sync"
 """A replicated pair with semi-sync acks; only its primary is observed."""
 
 GOLDEN = {
-    "baseline": ("980cd59ea1dc9057", "e2713779c1f2c1e7",
+    "baseline": ("865ad4e300c4145a", "ce65da9d5e3d4876",
                  "d3d674d88142656c"),
-    "checkin": ("3e7a8ebdcfe82a0d", "45e61bea7858bd11",
+    "checkin": ("9e07361b8b964d23", "ba8d675fd5ee0ea8",
                 "05e5fa1d588c2711"),
     "closed_admission": ("1be493a0dcff8002", "9e4c90a23fbbeb2e",
                          "a3fb4ab644d8af11"),
-    "isc_c": ("6e27050ebb923f8f", "67e067a27cb372b3",
+    "isc_c": ("f9b90b0948373f07", "0288dec115de41b3",
               "e101c06f329fd953"),
-    "journal_full": ("5bad5e3a92a990fb", "f9a548effa476fbc",
+    "journal_full": ("5bad5e3a92a990fb", "cce8ff51f7cd1c47",
                      "88cf0101706d796f"),
     "media": ("080d6498da016551", "54d4e1f3c3dea0f6",
               "a1c55e243ee9ff42"),
     "open_loop": ("3b0eb0cd16055ea0", "d967179d3ccd3da8",
                   "4a175b663c990cc4"),
-    "rmw": ("ec2940590fc12298", "d6f9743e8a0fac53",
+    "rmw": ("5721bf24d43194ac", "efdd7cd1719a9520",
             "c7c2541aab382b25"),
     "semi_sync": ("731b9c4871af0363", "15e716d789bc58c4",
                   "aebc91940f591dc3"),
-    "stress": ("4d84b585b8f569a5", "e421c71d6f6546ed",
+    "stress": ("4d84b585b8f569a5", "1853f3bd18efc54f",
                "35e4823bf3ff49f3"),
 }
 

@@ -162,9 +162,9 @@ class TestCrashMidBurst:
         assert first.digest() == second.digest()
 
     @pytest.mark.parametrize("mode,instants,digest", [
-        ("baseline", 912, "bdbdba19aa89db4d"),
-        ("isc_c", 321, "5faf92b083d0a9ba"),
-        ("checkin", 273, "e314ae518270b973"),
+        pytest.param("baseline", 912, "bdbdba19aa89db4d", id="baseline"),
+        pytest.param("isc_c", 321, "5faf92b083d0a9ba", id="isc_c"),
+        pytest.param("checkin", 273, "e314ae518270b973", id="checkin"),
     ])
     def test_sweep_matches_golden_digest(self, mode, instants, digest):
         """Pinned values at the defaults (12 points, seed 7): a change

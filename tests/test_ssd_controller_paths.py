@@ -64,7 +64,7 @@ class TestFlushAndTrim:
         def proc():
             yield from ssd.write(0, 3, tags=list("abc"))
             assert len(ssd.controller.write_buffer) == 1
-            yield ssd.submit(Command(op=Op.FLUSH))
+            yield from ssd.run(Command(op=Op.FLUSH))
             yield from ssd.quiesce()
             tags = yield from ssd.read(0, 3)
             return tags
@@ -78,7 +78,7 @@ class TestFlushAndTrim:
 
         def proc():
             yield from ssd.write(0, 1, tags=["gone"])
-            yield ssd.submit(Command(op=Op.TRIM, lba=0, nsectors=8))
+            yield from ssd.run(Command(op=Op.TRIM, lba=0, nsectors=8))
             tags = yield from ssd.read(0, 1)
             return tags
 
@@ -91,7 +91,7 @@ class TestFlushAndTrim:
         def proc():
             for i in range(6):
                 yield from ssd.write(i * 8, 1, tags=[f"u{i}"])
-            yield ssd.submit(Command(op=Op.FLUSH))
+            yield from ssd.run(Command(op=Op.FLUSH))
             yield from ssd.quiesce()
             tags = []
             for i in range(6):

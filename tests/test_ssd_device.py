@@ -88,7 +88,7 @@ class TestReadWrite:
 
         def proc():
             yield from ssd.write(0, 2, tags=["a", "b"])
-            yield ssd.submit(Command(op=Op.TRIM, lba=0, nsectors=2))
+            yield from ssd.run(Command(op=Op.TRIM, lba=0, nsectors=2))
             tags = yield from ssd.read(0, 2)
             return tags
 
@@ -99,7 +99,7 @@ class TestReadWrite:
 
         def proc():
             yield from ssd.write(0, 1, tags=["x"], stream="journal")
-            yield ssd.submit(Command(op=Op.FLUSH))
+            yield from ssd.run(Command(op=Op.FLUSH))
             yield from ssd.quiesce()
 
         run(sim, proc())
@@ -141,7 +141,7 @@ class TestVendorCommands:
         sim, ssd = make_ssd(enable_isce=False)
 
         def proc():
-            yield ssd.submit(Command(op=Op.COW, entries=(CowEntry(0, 100),)))
+            yield from ssd.run(Command(op=Op.COW, entries=(CowEntry(0, 100),)))
 
         spawn(sim, proc())
         with pytest.raises(CommandError):
@@ -153,7 +153,7 @@ class TestVendorCommands:
         def proc():
             yield from ssd.write(0, 1, tags=["journal"], stream="journal")
             programs_before = ssd.stats.value("flash.program")
-            completion = yield ssd.submit(Command(
+            completion = yield from ssd.run(Command(
                 op=Op.COW, entries=(CowEntry(src_lba=0, dst_lba=100),)))
             tags = yield from ssd.read(100, 1)
             return programs_before, completion, tags
@@ -170,7 +170,7 @@ class TestVendorCommands:
 
         def proc():
             yield from ssd.write(0, 1, tags=["journal"], stream="journal")
-            completion = yield ssd.submit(Command(
+            completion = yield from ssd.run(Command(
                 op=Op.COW, entries=(CowEntry(src_lba=0, dst_lba=100),)))
             tags = yield from ssd.read(100, 1)
             return completion, tags
@@ -187,8 +187,8 @@ class TestVendorCommands:
             yield from ssd.write(0, 4, tags=list("abcd"), stream="journal")
             entries = tuple(CowEntry(src_lba=i, dst_lba=100 + i)
                             for i in range(4))
-            completion = yield ssd.submit(Command(op=Op.COW_MULTI,
-                                                  entries=entries))
+            completion = yield from ssd.run(Command(op=Op.COW_MULTI,
+                                                    entries=entries))
             tags = yield from ssd.read(100, 4)
             return completion, tags
 
@@ -202,7 +202,7 @@ class TestVendorCommands:
         def proc():
             yield from ssd.write(0, 2, tags=["a", "b"], stream="journal")
             entries = (CowEntry(0, 100), CowEntry(1, 101))
-            yield ssd.submit(Command(op=Op.CHECKPOINT, entries=entries))
+            yield from ssd.run(Command(op=Op.CHECKPOINT, entries=entries))
             yield from ssd.quiesce()
 
         run(sim, proc())
@@ -213,10 +213,10 @@ class TestVendorCommands:
 
         def proc():
             yield from ssd.write(0, 2, tags=["a", "b"], stream="journal")
-            yield ssd.submit(Command(op=Op.CHECKPOINT,
-                                     entries=(CowEntry(0, 100),
-                                              CowEntry(1, 101))))
-            yield ssd.submit(Command(op=Op.DELETE_LOGS, lba=0, nsectors=2))
+            yield from ssd.run(Command(op=Op.CHECKPOINT,
+                                       entries=(CowEntry(0, 100),
+                                                CowEntry(1, 101))))
+            yield from ssd.run(Command(op=Op.DELETE_LOGS, lba=0, nsectors=2))
             journal = yield from ssd.read(0, 2)
             data = yield from ssd.read(100, 2)
             return journal, data
@@ -232,7 +232,7 @@ class TestVendorCommands:
         def proc():
             yield from ssd.write(0, 8, tags=[f"j{i}" for i in range(8)],
                                  stream="journal")
-            completion = yield ssd.submit(Command(
+            completion = yield from ssd.run(Command(
                 op=Op.COW, entries=(CowEntry(src_lba=0, dst_lba=104,
                                              nsectors=1),)))
             return completion
@@ -255,8 +255,8 @@ class TestVendorCommands:
                 CowEntry(src_lba=0, dst_lba=108, src_offset=128,
                          length_bytes=256),
             )
-            completion = yield ssd.submit(Command(op=Op.COW_MULTI,
-                                                  entries=entries))
+            completion = yield from ssd.run(Command(op=Op.COW_MULTI,
+                                                    entries=entries))
             a = yield from ssd.read(100, 1)
             b = yield from ssd.read(108, 1)
             return completion, a, b

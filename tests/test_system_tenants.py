@@ -130,41 +130,47 @@ class TestNamespaceEnforcement:
         return system
 
     def test_escape_rejected_at_submit(self):
+        """The namespace check is the command's first statement: driving
+        it one step raises before any simulated time passes and before
+        a submission-queue slot is taken."""
         system = self.build()
         other = system.ssd.namespaces.get(1)
-        handle = system.ssd.namespace(0)
+        command = system.ssd.namespace(0).run(Command(
+            op=Op.WRITE, lba=other.lba_start, nsectors=1, tags=["x"]))
+        now = system.sim.now
         with pytest.raises(NamespaceError):
-            handle.submit(Command(op=Op.WRITE, lba=other.lba_start,
-                                  nsectors=1, tags=["x"]))
+            next(command)
+        assert system.sim.now == now
+        assert system.ssd.interface.outstanding == 0
+        assert system.ssd.interface.queued == 0
 
     def test_straddle_rejected(self):
         system = self.build()
         boundary = system.ssd.namespaces.get(0).lba_end
         with pytest.raises(NamespaceError):
-            system.ssd.submit(Command(op=Op.WRITE, lba=boundary - 1,
-                                      nsectors=2, tags=["x", "y"]))
+            next(system.ssd.run(Command(op=Op.WRITE, lba=boundary - 1,
+                                        nsectors=2, tags=["x", "y"])))
 
-    def test_in_range_write_carries_nsid(self):
+    def test_in_range_write_carries_nsid(self, drive):
         system = self.build()
         base = system.ssd.namespaces.get(1).lba_start
         command = Command(op=Op.WRITE, lba=base, nsectors=1, tags=["x"])
-        system.ssd.namespace(1).submit(command)
+        written = drive(system, system.ssd.namespace(1).run(command))
+        assert written.value.ok
         assert command.nsid == 1
-        while system.sim.step():
-            pass
 
     def test_handle_write_stamps_its_nsid(self, drive):
-        """The handle's read/write wrappers go through its ``submit``."""
+        """The handle's read/write wrappers go through its ``run``."""
         system = self.build()
         base = system.ssd.namespaces.get(1).lba_start
         submitted = []
-        controller_submit = system.ssd.controller.submit
+        controller_run = system.ssd.controller.run
 
         def spy(command):
             submitted.append(command)
-            return controller_submit(command)
+            return controller_run(command)
 
-        system.ssd.controller.submit = spy
+        system.ssd.controller.run = spy
         handle = system.ssd.namespace(1)
         written = drive(system, handle.write(base, 1, tags=["x"]))
         assert written.value.ok
